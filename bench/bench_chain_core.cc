@@ -11,6 +11,8 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <map>
+#include <memory>
 
 #include "chain/blockchain.h"
 #include "chain/sealer.h"
@@ -181,6 +183,127 @@ void BM_ChainAppendAndIntegrity(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ChainAppendAndIntegrity)->Range(8, 128);
+
+// ---------------------------------------------------------------------------
+// Canonical index. FindTransaction is one index lookup, so its cost should
+// stay flat as the chain grows; a reorg's cost grows with the number of
+// blocks it switches.
+
+PoaSealer AuthoritySealer() {
+  auto key = std::make_shared<crypto::KeyPair>(
+      crypto::KeyPair::FromSeed("authority"));
+  return PoaSealer({key->address()}, key);
+}
+
+/// Sealed blocks extending `from`, `txs_per_block` fresh transactions each;
+/// `stamp_step` spaces the timestamps so two branches built from the same
+/// parent differ.
+std::vector<Block> BuildBranch(const PoaSealer& sealer, const Block& from,
+                               size_t count, size_t txs_per_block,
+                               uint64_t* nonce, Micros stamp_step) {
+  std::vector<Block> branch;
+  const Block* parent = &from;
+  for (size_t b = 0; b < count; ++b) {
+    Block block;
+    block.header.height = parent->header.height + 1;
+    block.header.parent = parent->header.Hash();
+    block.header.timestamp = parent->header.timestamp + stamp_step;
+    for (size_t t = 0; t < txs_per_block; ++t) {
+      block.transactions.push_back(MakeTx(++*nonce));
+    }
+    block.header.merkle_root = block.ComputeMerkleRoot();
+    IgnoreStatusForTest(sealer.Seal(&block));
+    branch.push_back(std::move(block));
+    parent = &branch.back();
+  }
+  return branch;
+}
+
+/// A chain holding `tx_count` transactions in blocks of 64, built once per
+/// size and kept for the process's lifetime.
+struct IndexedChain {
+  PoaSealer sealer = AuthoritySealer();
+  Blockchain chain{Blockchain::MakeGenesis(0), &sealer};
+  std::vector<crypto::Hash256> ids;
+};
+
+const IndexedChain& ChainWithTxs(int64_t tx_count) {
+  static auto* cache = new std::map<int64_t, std::unique_ptr<IndexedChain>>();
+  std::unique_ptr<IndexedChain>& entry = (*cache)[tx_count];
+  if (entry == nullptr) {
+    entry = std::make_unique<IndexedChain>();
+    uint64_t nonce = 0;
+    const size_t per_block = std::min<size_t>(64, tx_count);
+    for (Block& block :
+         BuildBranch(entry->sealer, entry->chain.genesis(),
+                     static_cast<size_t>(tx_count) / per_block, per_block,
+                     &nonce, 1)) {
+      for (const Transaction& tx : block.transactions) {
+        entry->ids.push_back(tx.Id());
+      }
+      IgnoreStatusForTest(entry->chain.AddBlock(std::move(block)));
+    }
+  }
+  return *entry;
+}
+
+/// Args: transactions on the chain, and whether the looked-up ids are on
+/// it (1, cycling through all of them) or not (0: a freshly gossiped tx).
+void BM_FindTransaction(benchmark::State& state) {
+  const IndexedChain& fixture = ChainWithTxs(state.range(0));
+  std::vector<crypto::Hash256> probes = fixture.ids;
+  if (state.range(1) == 0) {
+    probes.clear();
+    for (int i = 0; i < 64; ++i) {
+      probes.push_back(crypto::Sha256::Hash(StrCat("absent", i)));
+    }
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    bool found = fixture.chain.FindTransaction(probes[next], nullptr, nullptr);
+    benchmark::DoNotOptimize(found);
+    if (++next == probes.size()) next = 0;
+  }
+  state.counters["chain_txs"] = static_cast<double>(fixture.ids.size());
+}
+BENCHMARK(BM_FindTransaction)
+    ->ArgsProduct({benchmark::CreateRange(64, 16384, 4), {1, 0}})
+    ->ArgNames({"txs", "hit"});
+
+/// Arg: reorg depth. Times the one AddBlock that makes a branch forked at
+/// genesis the head, dropping `depth` blocks and adding `depth + 1`, four
+/// transactions each. The chain is rebuilt untimed before every iteration.
+void BM_ReorgSwitchHead(benchmark::State& state) {
+  const auto depth = static_cast<size_t>(state.range(0));
+  const PoaSealer sealer = AuthoritySealer();
+  const Block genesis = Blockchain::MakeGenesis(0);
+  uint64_t nonce = 0;
+  const std::vector<Block> winner =
+      BuildBranch(sealer, genesis, depth + 1, 4, &nonce, 2);
+  // The losing branch's tip must win the tie at `depth`, so the timed block
+  // is the one that switches the head.
+  std::vector<Block> loser;
+  for (Micros step = 3;; ++step) {
+    loser = BuildBranch(sealer, genesis, depth, 4, &nonce, step);
+    if (loser.back().header.Hash().ToHex() <
+        winner[depth - 1].header.Hash().ToHex()) {
+      break;
+    }
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    Blockchain chain(genesis, &sealer);
+    for (const Block& block : loser) IgnoreStatusForTest(chain.AddBlock(block));
+    for (size_t i = 0; i < depth; ++i) {
+      IgnoreStatusForTest(chain.AddBlock(winner[i]));
+    }
+    Block last = winner[depth];
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(chain.AddBlock(std::move(last)));
+  }
+  state.counters["reorg_depth"] = static_cast<double>(depth);
+}
+BENCHMARK(BM_ReorgSwitchHead)->Arg(1)->Arg(16)->Arg(256)->Iterations(16);
 
 // ---------------------------------------------------------------------------
 // Threaded variants. Argument = worker-pool size; `speedup_vs_serial` is the

@@ -1,5 +1,5 @@
 // Peers-vs-latency / cascade-throughput curve over seeded generated
-// hospital networks (seed 77 at 16/32/64/128 peers). Each iteration has
+// hospital networks (seed 77 at 16/32/64/128/256 peers). Each iteration has
 // every provider push one source update through the lens chain of each of
 // its shared tables, then settles the whole network; manual time records
 // the SIMULATED seconds the fan-out took, so items/s is committed
@@ -69,6 +69,7 @@ BENCHMARK(BM_GeneratedNetworkScale)
     ->Arg(16)
     ->Arg(32)
     ->Arg(64)
-    ->Arg(128);
+    ->Arg(128)
+    ->Arg(256);
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "chain/blockchain.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/strings.h"
@@ -22,11 +23,14 @@ Blockchain::Blockchain(Block genesis, const Sealer* sealer,
     : sealer_(sealer), conflict_key_(std::move(conflict_key)), pool_(pool),
       lane_(genesis.header.lane) {
   assert(genesis.header.height == 0);
-  genesis_hash_ = genesis.header.Hash();
-  head_hash_ = genesis_hash_;
+  const std::string hash_hex = genesis.header.Hash().ToHex();
   Node node;
+  for (const Transaction& tx : genesis.transactions) {
+    node.tx_ids.push_back(tx.Id().ToHex());
+  }
   node.block = std::move(genesis);
-  blocks_.emplace(genesis_hash_.ToHex(), std::move(node));
+  blocks_.emplace(hash_hex, std::move(node));
+  SwitchHead(hash_hex);
 }
 
 void Blockchain::set_metrics(metrics::MetricsRegistry* registry) {
@@ -41,13 +45,15 @@ void Blockchain::set_metrics(metrics::MetricsRegistry* registry) {
   block_txs_ = registry->GetHistogram("chain.block_txs");
 }
 
-Status Blockchain::ValidateStructure(const Block& block) const {
-  Status status = ValidateStructureImpl(block);
+Status Blockchain::ValidateStructure(const Block& block,
+                                     std::vector<std::string>* tx_ids) const {
+  Status status = ValidateStructureImpl(block, tx_ids);
   metrics::Inc(status.ok() ? validate_ok_ : validate_fail_);
   return status;
 }
 
-Status Blockchain::ValidateStructureImpl(const Block& block) const {
+Status Blockchain::ValidateStructureImpl(
+    const Block& block, std::vector<std::string>* tx_ids) const {
   if (block.header.merkle_root != block.ComputeMerkleRoot(pool_)) {
     return Status::Corruption("merkle root does not match transactions");
   }
@@ -72,14 +78,17 @@ Status Blockchain::ValidateStructureImpl(const Block& block) const {
   std::set<std::string> conflict_keys;
   for (size_t i = 0; i < block.transactions.size(); ++i) {
     const Transaction& tx = block.transactions[i];
+    const crypto::Hash256 id = tx.Id();
     if (!sig_ok[i]) {
       return Status::PermissionDenied(
-          StrCat("transaction ", tx.Id().ShortHex(), " has a bad signature"));
+          StrCat("transaction ", id.ShortHex(), " has a bad signature"));
     }
-    if (!seen_ids.insert(tx.Id().ToHex()).second) {
+    std::string id_hex = id.ToHex();
+    if (!seen_ids.insert(id_hex).second) {
       return Status::InvalidArgument(
-          StrCat("duplicate transaction ", tx.Id().ShortHex(), " in block"));
+          StrCat("duplicate transaction ", id.ShortHex(), " in block"));
     }
+    if (tx_ids != nullptr) tx_ids->push_back(std::move(id_hex));
     if (conflict_key_) {
       std::optional<std::string> key = conflict_key_(tx);
       if (key.has_value() && !conflict_keys.insert(*key).second) {
@@ -92,16 +101,68 @@ Status Blockchain::ValidateStructureImpl(const Block& block) const {
   return Status::OK();
 }
 
-bool Blockchain::TxInAncestry(const crypto::Hash256& start_hash,
-                              const std::string& tx_id) const {
-  std::string cursor = start_hash.ToHex();
-  while (true) {
-    auto it = blocks_.find(cursor);
-    if (it == blocks_.end()) return false;
-    if (it->second.tx_ids.count(tx_id) > 0) return true;
-    if (it->second.block.header.height == 0) return false;
-    cursor = it->second.block.header.parent.ToHex();
+std::vector<const Blockchain::Node*> Blockchain::BranchOffCanonical(
+    const Node& node, uint64_t* shared) const {
+  std::vector<const Node*> branch;
+  const Node* cursor = &node;
+  while (!IsCanonical(*cursor)) {
+    branch.push_back(cursor);
+    if (cursor->block.header.height == 0) {  // only while constructing
+      *shared = 0;
+      return branch;
+    }
+    cursor = &Parent(*cursor);
   }
+  *shared = cursor->block.header.height + 1;
+  return branch;
+}
+
+std::vector<const Blockchain::Node*> Blockchain::CanonicalFrom(
+    uint64_t height) const {
+  std::vector<const Node*> nodes;
+  if (height >= canonical_.size()) return nodes;
+  for (const Node* cursor = &NodeAt(head_hash_.ToHex());;
+       cursor = &Parent(*cursor)) {
+    nodes.push_back(cursor);
+    if (cursor->block.header.height == height) return nodes;
+  }
+}
+
+void Blockchain::SwitchHead(const std::string& new_head_hex) {
+  // In the common case the new head's parent is the old head: nothing is
+  // dropped and one block is appended.
+  uint64_t shared = 0;
+  const std::vector<const Node*> branch =
+      BranchOffCanonical(NodeAt(new_head_hex), &shared);
+  for (const Node* abandoned : CanonicalFrom(shared)) {
+    for (const std::string& tx_id : abandoned->tx_ids) tx_index_.erase(tx_id);
+  }
+  canonical_.resize(shared);
+  for (auto it = branch.rbegin(); it != branch.rend(); ++it) {
+    const Node& node = **it;
+    for (size_t i = 0; i < node.tx_ids.size(); ++i) {
+      tx_index_[node.tx_ids[i]] = TxLocation{canonical_.size(), i};
+    }
+    canonical_.push_back(&node.block);
+  }
+  bool ok = false;
+  head_hash_ = crypto::Hash256::FromHex(new_head_hex, &ok);
+  assert(ok);
+}
+
+bool Blockchain::TxInAncestry(const Node& start,
+                              const std::string& tx_id) const {
+  // Walk the side branch (if any) block by block; below it the ancestry is
+  // the canonical prefix, which the index answers.
+  uint64_t shared = 0;
+  for (const Node* node : BranchOffCanonical(start, &shared)) {
+    if (std::find(node->tx_ids.begin(), node->tx_ids.end(), tx_id) !=
+        node->tx_ids.end()) {
+      return true;
+    }
+  }
+  auto it = tx_index_.find(tx_id);
+  return it != tx_index_.end() && it->second.height < shared;
 }
 
 Status Blockchain::AddBlock(Block block) {
@@ -129,17 +190,14 @@ Status Blockchain::AddBlock(Block block) {
   if (block.header.timestamp < parent.header.timestamp) {
     return Status::InvalidArgument("block timestamp precedes its parent");
   }
-  MEDSYNC_RETURN_IF_ERROR(ValidateStructure(block));
-
   Node node;
-  for (const Transaction& tx : block.transactions) {
-    std::string tx_id = tx.Id().ToHex();
-    if (TxInAncestry(block.header.parent, tx_id)) {
+  MEDSYNC_RETURN_IF_ERROR(ValidateStructure(block, &node.tx_ids));
+  for (const std::string& tx_id : node.tx_ids) {
+    if (TxInAncestry(parent_it->second, tx_id)) {
       return Status::AlreadyExists(
           StrCat("transaction ", tx_id.substr(0, 8),
                  " already included in an ancestor block"));
     }
-    node.tx_ids.insert(std::move(tx_id));
   }
 
   uint64_t new_height = block.header.height;
@@ -154,20 +212,14 @@ Status Blockchain::AddBlock(Block block) {
   if (new_height > current_head.header.height ||
       (new_height == current_head.header.height &&
        hash_hex < head_hash_.ToHex())) {
-    bool ok = false;
-    head_hash_ = crypto::Hash256::FromHex(hash_hex, &ok);
-    assert(ok);
+    SwitchHead(hash_hex);
   }
   return Status::OK();
 }
 
-const Block& Blockchain::genesis() const {
-  return blocks_.at(genesis_hash_.ToHex()).block;
-}
+const Block& Blockchain::genesis() const { return *canonical_.front(); }
 
-const Block& Blockchain::head() const {
-  return blocks_.at(head_hash_.ToHex()).block;
-}
+const Block& Blockchain::head() const { return *canonical_.back(); }
 
 Result<const Block*> Blockchain::BlockByHash(
     const crypto::Hash256& hash) const {
@@ -179,50 +231,36 @@ Result<const Block*> Blockchain::BlockByHash(
 }
 
 Result<const Block*> Blockchain::BlockByHeight(uint64_t height) const {
-  if (height > head().header.height) {
+  if (height >= canonical_.size()) {
     return Status::NotFound(StrCat("no block at height ", height));
   }
-  const Block* cursor = &head();
-  while (cursor->header.height > height) {
-    auto it = blocks_.find(cursor->header.parent.ToHex());
-    if (it == blocks_.end()) {
-      return Status::Corruption("broken parent linkage on canonical chain");
-    }
-    cursor = &it->second.block;
-  }
-  return cursor;
-}
-
-std::vector<const Block*> Blockchain::CanonicalChain() const {
-  std::vector<const Block*> chain;
-  const Block* cursor = &head();
-  while (true) {
-    chain.push_back(cursor);
-    if (cursor->header.height == 0) break;
-    cursor = &blocks_.at(cursor->header.parent.ToHex()).block;
-  }
-  std::reverse(chain.begin(), chain.end());
-  return chain;
+  return canonical_[height];
 }
 
 bool Blockchain::FindTransaction(const crypto::Hash256& id,
                                  const Transaction** tx,
                                  uint64_t* block_height) const {
-  std::string id_hex = id.ToHex();
-  for (const Block* block : CanonicalChain()) {
-    for (const Transaction& candidate : block->transactions) {
-      if (candidate.Id().ToHex() == id_hex) {
-        if (tx) *tx = &candidate;
-        if (block_height) *block_height = block->header.height;
-        return true;
-      }
-    }
+  auto it = tx_index_.find(id.ToHex());
+  if (it == tx_index_.end()) return false;
+  const TxLocation& where = it->second;
+  if (tx) *tx = &canonical_[where.height]->transactions[where.index];
+  if (block_height) *block_height = where.height;
+  return true;
+}
+
+std::set<std::string> Blockchain::TxIdsCanonicalSince(
+    const crypto::Hash256& old_head) const {
+  uint64_t shared = 0;
+  BranchOffCanonical(NodeAt(old_head.ToHex()), &shared);
+  std::set<std::string> ids;
+  for (const Node* node : CanonicalFrom(shared)) {
+    ids.insert(node->tx_ids.begin(), node->tx_ids.end());
   }
-  return false;
+  return ids;
 }
 
 Status Blockchain::VerifyIntegrity() const {
-  std::vector<const Block*> chain = CanonicalChain();
+  const std::vector<const Block*>& chain = canonical_;
   for (size_t i = 0; i < chain.size(); ++i) {
     const Block& block = *chain[i];
     if (i > 0) {

@@ -6,6 +6,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chain/block.h"
@@ -37,6 +38,11 @@ class Blockchain {
              ConflictKeyFn conflict_key = nullptr,
              threading::ThreadPool* pool = nullptr);
 
+  // The canonical index points into `blocks_`, so a copy would point into
+  // the original.
+  Blockchain(const Blockchain&) = delete;
+  Blockchain& operator=(const Blockchain&) = delete;
+
   void set_thread_pool(threading::ThreadPool* pool) { pool_ = pool; }
 
   /// Attaches chain.validate.ok/fail, chain.blocks.accepted and the
@@ -57,8 +63,10 @@ class Blockchain {
   Status AddBlock(Block block);
 
   /// Validation only (everything except parent-linkage checks); exposed for
-  /// tests and for mempool candidate vetting.
-  Status ValidateStructure(const Block& block) const;
+  /// tests and for mempool candidate vetting. `tx_ids` (optional) receives
+  /// the hex ids of the block's transactions, in block order.
+  Status ValidateStructure(const Block& block,
+                           std::vector<std::string>* tx_ids = nullptr) const;
 
   const Block& genesis() const;
   const Block& head() const;
@@ -67,20 +75,30 @@ class Blockchain {
   /// splice into another's even if a hash collision of heights occurs.
   uint32_t lane() const { return lane_; }
   uint64_t height() const { return head().header.height; }
+  const crypto::Hash256& head_hash() const { return head_hash_; }
   size_t block_count() const { return blocks_.size(); }
 
   Result<const Block*> BlockByHash(const crypto::Hash256& hash) const;
 
-  /// The block at `height` on the CANONICAL (head) chain.
+  /// The block at `height` on the CANONICAL (head) chain. O(1).
   Result<const Block*> BlockByHeight(uint64_t height) const;
 
-  /// Genesis..head, in height order.
-  std::vector<const Block*> CanonicalChain() const;
+  /// Genesis..head, in height order. The reference stays valid for the
+  /// chain's lifetime; its contents change when the head does.
+  const std::vector<const Block*>& CanonicalChain() const {
+    return canonical_;
+  }
 
   /// Whether the canonical chain includes transaction `id`; if found and
-  /// the out-params are non-null, reports where.
+  /// the out-params are non-null, reports where. O(1): an index lookup.
   bool FindTransaction(const crypto::Hash256& id, const Transaction** tx,
                        uint64_t* block_height) const;
+
+  /// Hex ids of the transactions in the canonical blocks that are not in
+  /// the ancestry of `old_head` (a block of this chain, typically an
+  /// earlier head): what head switches since `old_head` made canonical.
+  std::set<std::string> TxIdsCanonicalSince(
+      const crypto::Hash256& old_head) const;
 
   /// Re-validates every block on the canonical chain from genesis — the
   /// audit-mode tamper check (any bit flipped in a stored block breaks its
@@ -90,23 +108,57 @@ class Blockchain {
  private:
   struct Node {
     Block block;
-    std::set<std::string> tx_ids;  // hex ids, for duplicate detection
+    /// Hex ids of `block.transactions`, in block order, computed once at
+    /// acceptance.
+    std::vector<std::string> tx_ids;
+  };
+  /// Where a canonical transaction sits.
+  struct TxLocation {
+    uint64_t height = 0;
+    size_t index = 0;  // in the block's transactions
   };
 
+  const Node& NodeAt(const std::string& hash_hex) const {
+    return blocks_.at(hash_hex);
+  }
+  const Node& Parent(const Node& node) const {
+    return NodeAt(node.block.header.parent.ToHex());
+  }
+  bool IsCanonical(const Node& node) const {
+    const uint64_t h = node.block.header.height;
+    return h < canonical_.size() && canonical_[h] == &node.block;
+  }
+
+  /// The blocks of `node`'s ancestry (itself included) that are not
+  /// canonical, tip first. `shared` receives how many canonical blocks the
+  /// ancestry shares (the height just above the fork point).
+  std::vector<const Node*> BranchOffCanonical(const Node& node,
+                                              uint64_t* shared) const;
+  /// The canonical blocks at heights >= `height`, head first.
+  std::vector<const Node*> CanonicalFrom(uint64_t height) const;
+
+  /// Makes the block `new_head_hex` the head: drops the abandoned branch's
+  /// tx ids from the index and adds the new branch's. The only code that
+  /// writes `head_hash_`, `canonical_` and `tx_index_`.
+  void SwitchHead(const std::string& new_head_hex);
+
   /// Whether `tx_id` appears in `start` or any of its ancestors.
-  bool TxInAncestry(const crypto::Hash256& start_hash,
-                    const std::string& tx_id) const;
+  bool TxInAncestry(const Node& start, const std::string& tx_id) const;
 
   /// ValidateStructure minus the ok/fail accounting.
-  Status ValidateStructureImpl(const Block& block) const;
+  Status ValidateStructureImpl(const Block& block,
+                               std::vector<std::string>* tx_ids) const;
 
   const Sealer* sealer_;
   ConflictKeyFn conflict_key_;
   threading::ThreadPool* pool_;
   uint32_t lane_ = 0;
   std::map<std::string, Node> blocks_;  // keyed by hex block hash
-  crypto::Hash256 genesis_hash_;
   crypto::Hash256 head_hash_;
+  /// The canonical chain, genesis..head: canonical_[h] is at height h.
+  std::vector<const Block*> canonical_;
+  /// Hex id -> location of every transaction on the canonical chain.
+  std::unordered_map<std::string, TxLocation> tx_index_;
 
   metrics::Counter* validate_ok_ = nullptr;
   metrics::Counter* validate_fail_ = nullptr;

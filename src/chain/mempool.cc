@@ -40,14 +40,14 @@ Status Mempool::Add(Transaction tx) {
   if (!tx.VerifySignature()) {
     metrics::Inc(reject_bad_signature_);
     return Status::PermissionDenied(
-        StrCat("transaction ", tx.Id().ShortHex(), " has a bad signature"));
+        StrCat("transaction ", id.substr(0, 8), " has a bad signature"));
   }
   if (queue_.size() >= capacity_) {
     metrics::Inc(reject_full_);
     return Status::ResourceExhausted("mempool full");
   }
-  ids_.insert(std::move(id));
-  queue_.push_back(std::move(tx));
+  ids_.insert(id);
+  queue_.push_back(Pooled{std::move(tx), std::move(id)});
   metrics::Inc(adds_);
   metrics::GaugeAdd(occupancy_, 1);
   return Status::OK();
@@ -68,8 +68,8 @@ std::vector<Transaction> Mempool::BuildBlockCandidate(size_t max_count,
   // or a buggy client) must keep arrival order on every standard library,
   // or candidate bytes diverge across toolchains.
   std::map<std::string, std::vector<const Transaction*>> per_sender;
-  for (const Transaction& tx : queue_) {
-    per_sender[tx.from.ToHex()].push_back(&tx);
+  for (const Pooled& pooled : queue_) {
+    per_sender[pooled.tx.from.ToHex()].push_back(&pooled.tx);
   }
   for (auto& [sender, txs] : per_sender) {
     std::stable_sort(txs.begin(), txs.end(),
@@ -80,8 +80,8 @@ std::vector<Transaction> Mempool::BuildBlockCandidate(size_t max_count,
   std::map<std::string, size_t> cursor;
   std::vector<const Transaction*> ordered;
   ordered.reserve(queue_.size());
-  for (const Transaction& slot : queue_) {
-    std::string sender = slot.from.ToHex();
+  for (const Pooled& slot : queue_) {
+    std::string sender = slot.tx.from.ToHex();
     ordered.push_back(per_sender[sender][cursor[sender]++]);
   }
 
@@ -116,14 +116,20 @@ std::vector<Transaction> Mempool::BuildBlockCandidate(size_t max_count,
   return selected;
 }
 
+std::vector<Transaction> Mempool::PendingTransactions() const {
+  std::vector<Transaction> pending;
+  pending.reserve(queue_.size());
+  for (const Pooled& pooled : queue_) pending.push_back(pooled.tx);
+  return pending;
+}
+
 void Mempool::RemoveIncluded(const std::set<std::string>& included_ids) {
-  std::deque<Transaction> kept;
-  for (Transaction& tx : queue_) {
-    std::string id = tx.Id().ToHex();
-    if (included_ids.count(id) > 0) {
-      ids_.erase(id);
+  std::deque<Pooled> kept;
+  for (Pooled& pooled : queue_) {
+    if (included_ids.count(pooled.id) > 0) {
+      ids_.erase(pooled.id);
     } else {
-      kept.push_back(std::move(tx));
+      kept.push_back(std::move(pooled));
     }
   }
   metrics::GaugeAdd(occupancy_,

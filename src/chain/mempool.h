@@ -68,14 +68,17 @@ class Mempool {
   /// Every pooled transaction in arrival order (for periodic re-gossip:
   /// on a lossy network, the one broadcast at submission time may never
   /// have reached the sealer whose turn it is).
-  std::vector<Transaction> PendingTransactions() const {
-    return std::vector<Transaction>(queue_.begin(), queue_.end());
-  }
+  std::vector<Transaction> PendingTransactions() const;
 
  private:
+  struct Pooled {
+    Transaction tx;
+    std::string id;  // hex, computed once in Add
+  };
+
   ConflictKeyFn conflict_key_;
   size_t capacity_;
-  std::deque<Transaction> queue_;
+  std::deque<Pooled> queue_;
   std::set<std::string> ids_;
 
   metrics::Counter* adds_ = nullptr;

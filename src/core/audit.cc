@@ -44,16 +44,19 @@ std::vector<AuditRecord> BuildAuditTrail(const chain::Blockchain& chain,
 
 Result<InclusionProof> ProveTransactionInclusion(
     const chain::Blockchain& chain, const std::string& tx_id_hex) {
-  for (const chain::Block* block : chain.CanonicalChain()) {
-    for (size_t i = 0; i < block->transactions.size(); ++i) {
-      if (block->transactions[i].Id().ToHex() != tx_id_hex) continue;
-      InclusionProof proof;
-      proof.tx_id = tx_id_hex;
-      proof.header = block->header;
-      crypto::MerkleTree tree(block->TransactionLeaves());
-      proof.merkle = tree.BuildProof(i);
-      return proof;
-    }
+  bool ok = false;
+  const crypto::Hash256 id = crypto::Hash256::FromHex(tx_id_hex, &ok);
+  const chain::Transaction* tx = nullptr;
+  uint64_t height = 0;
+  if (ok && chain.FindTransaction(id, &tx, &height)) {
+    const chain::Block& block = **chain.BlockByHeight(height);
+    InclusionProof proof;
+    proof.tx_id = tx_id_hex;
+    proof.header = block.header;
+    crypto::MerkleTree tree(block.TransactionLeaves());
+    proof.merkle = tree.BuildProof(
+        static_cast<size_t>(tx - block.transactions.data()));
+    return proof;
   }
   return Status::NotFound(
       StrCat("transaction ", tx_id_hex.substr(0, 8),

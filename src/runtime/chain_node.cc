@@ -227,8 +227,9 @@ ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {
   std::vector<Transaction> fresh;
   fresh.reserve(txs.size());
   for (Transaction& tx : txs) {
-    if (lane.chain.FindTransaction(tx.Id(), nullptr, nullptr)) {
-      stale.insert(tx.Id().ToHex());
+    const crypto::Hash256 id = tx.Id();
+    if (lane.chain.FindTransaction(id, nullptr, nullptr)) {
+      stale.insert(id.ToHex());
     } else {
       fresh.push_back(std::move(tx));
     }
@@ -241,7 +242,7 @@ ChainNode::SealOutcome ChainNode::BuildLaneCandidate(Lane& lane) {
   Block block;
   block.header.lane = lane.chain.lane();
   block.header.height = lane.chain.head().header.height + 1;
-  block.header.parent = lane.chain.head().header.Hash();
+  block.header.parent = lane.chain.head_hash();
   block.header.timestamp =
       std::max(scheduler_->Now(), lane.chain.head().header.timestamp);
   block.transactions = std::move(txs);
@@ -305,11 +306,8 @@ void ChainNode::TrySealLanes() {
         << out.block.header.lane << " (" << out.block.transactions.size()
         << " txs)";
 
-    std::set<std::string> included;
-    for (const Transaction& tx : out.block.transactions) {
-      included.insert(tx.Id().ToHex());
-    }
-    lanes_[l]->mempool.RemoveIncluded(included);
+    lanes_[l]->mempool.RemoveIncluded(
+        lanes_[l]->chain.TxIdsCanonicalSince(out.block.header.parent));
     network_->Broadcast(config_.id, "block", out.block.ToJson());
     advanced = true;
   }
@@ -424,7 +422,7 @@ void ChainNode::HandleBlockPayload(const Json& payload,
         << "rejected block naming unknown lane " << lane;
     return;
   }
-  uint64_t old_height = lanes_[lane]->chain.head().header.height;
+  const crypto::Hash256 old_head = lanes_[lane]->chain.head_hash();
   Status accepted = AcceptBlock(std::move(*block), from);
   if (accepted.IsAlreadyExists()) return;  // do not re-gossip duplicates
   if (!accepted.ok() && !accepted.IsNotFound()) {
@@ -433,15 +431,12 @@ void ChainNode::HandleBlockPayload(const Json& payload,
   }
   if (accepted.ok()) {
     network_->Broadcast(config_.id, "block", payload);
-    // Evict included transactions from the lane's pool partition.
-    std::set<std::string> included;
-    for (const chain::Block* b : lanes_[lane]->chain.CanonicalChain()) {
-      if (b->header.height > old_height) {
-        for (const Transaction& tx : b->transactions) {
-          included.insert(tx.Id().ToHex());
-        }
-      }
-    }
+    // Evict what the head switch made canonical from the lane's pool
+    // partition. After a reorg that includes the new branch's blocks below
+    // the old height: a follower never seals, so no stale-candidate filter
+    // would ever drop their transactions.
+    std::set<std::string> included =
+        lanes_[lane]->chain.TxIdsCanonicalSince(old_head);
     if (!included.empty()) lanes_[lane]->mempool.RemoveIncluded(included);
     ScheduleExecution();
   }
@@ -480,20 +475,20 @@ void ChainNode::HandleBlockRequest(const net::Message& message) {
 }
 
 void ChainNode::AdvanceExecution() {
-  // Collect every lane's canonical chain and check the executed prefixes.
+  // Check each lane's executed prefix against its canonical chain.
   // A reorg in ANY lane rebuilds contract state from scratch: the host is
   // a single cross-lane state machine, so rewinding one lane means
   // replaying all of them (cheap at simulation scale; a production node
   // would checkpoint).
-  std::vector<std::vector<const Block*>> canonical(lanes_.size());
   bool reorg = false;
   for (size_t l = 0; l < lanes_.size(); ++l) {
-    canonical[l] = lanes_[l]->chain.CanonicalChain();
+    const std::vector<const Block*>& canonical =
+        lanes_[l]->chain.CanonicalChain();
     const std::vector<std::string>& executed = lanes_[l]->executed_hashes;
-    bool prefix_ok = executed.size() <= canonical[l].size();
+    bool prefix_ok = executed.size() <= canonical.size();
     if (prefix_ok) {
       for (size_t i = 0; i < executed.size(); ++i) {
-        if (canonical[l][i]->header.Hash().ToHex() != executed[i]) {
+        if (canonical[i]->header.Hash().ToHex() != executed[i]) {
           prefix_ok = false;
           break;
         }
@@ -508,7 +503,7 @@ void ChainNode::AdvanceExecution() {
     for (size_t l = 0; l < lanes_.size(); ++l) {
       lanes_[l]->executed_hashes.clear();
       lanes_[l]->executed_hashes.push_back(
-          canonical[l][0]->header.Hash().ToHex());
+          lanes_[l]->chain.genesis().header.Hash().ToHex());
     }
   }
 
@@ -524,9 +519,11 @@ void ChainNode::AdvanceExecution() {
   };
   std::vector<Dispatch> dispatches;
   for (size_t l = 0; l < lanes_.size(); ++l) {
+    const std::vector<const Block*>& canonical =
+        lanes_[l]->chain.CanonicalChain();
     std::vector<std::string>& executed = lanes_[l]->executed_hashes;
-    for (size_t i = executed.size(); i < canonical[l].size(); ++i) {
-      const Block& block = *canonical[l][i];
+    for (size_t i = executed.size(); i < canonical.size(); ++i) {
+      const Block& block = *canonical[i];
       std::vector<contracts::Receipt> receipts = host_->ExecuteBlock(block);
       executed.push_back(block.header.Hash().ToHex());
       for (contracts::Receipt& receipt : receipts) {

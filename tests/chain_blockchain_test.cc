@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "common/random.h"
 #include "common/threading/thread_pool.h"
 #include "contracts/metadata_contract.h"
 
@@ -186,6 +190,193 @@ TEST_F(BlockchainTest, CanonicalChainAndLookups) {
   EXPECT_EQ(height, 2u);
   EXPECT_FALSE(
       chain_.FindTransaction(crypto::Sha256::Hash("none"), nullptr, nullptr));
+}
+
+// The canonical index (FindTransaction, BlockByHeight, CanonicalChain,
+// TxIdsCanonicalSince) against a brute-force parent walk from head() over
+// the test's own copies of the blocks, after every AddBlock of seeded fork
+// trees. The trees include equal-height switches decided by the hash
+// tie-break, deep reorgs onto branches forked at genesis, and one
+// transaction carried on two branches at different heights.
+TEST_F(BlockchainTest, CanonicalIndexAgreesWithParentWalkAcrossReorgs) {
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Blockchain chain(genesis_, &sealer_, contracts::SharedDataConflictKey);
+    const std::string genesis_hex = genesis_.header.Hash().ToHex();
+    std::map<std::string, Block> blocks{{genesis_hex, genesis_}};
+    struct Offered {
+      Transaction tx;
+      std::string id;
+    };
+    std::vector<Offered> offered;
+    std::map<std::string, std::set<uint64_t>> carried_at;  // id -> heights
+
+    auto walk = [&](const std::string& tip_hex) {
+      std::vector<const Block*> path;
+      for (std::string cursor = tip_hex;;) {
+        const Block& block = blocks.at(cursor);
+        path.push_back(&block);
+        if (block.header.height == 0) break;
+        cursor = block.header.parent.ToHex();
+      }
+      return std::vector<const Block*>(path.rbegin(), path.rend());
+    };
+    auto ids_on = [](const std::vector<const Block*>& path) {
+      std::map<std::string, std::pair<uint64_t, size_t>> where;
+      for (const Block* block : path) {
+        for (size_t i = 0; i < block->transactions.size(); ++i) {
+          where[block->transactions[i].Id().ToHex()] = {block->header.height,
+                                                        i};
+        }
+      }
+      return where;
+    };
+    auto check = [&](const std::string& old_head_hex) {
+      const std::vector<const Block*> expected =
+          walk(chain.head().header.Hash().ToHex());
+      const std::vector<const Block*>& canonical = chain.CanonicalChain();
+      ASSERT_EQ(canonical.size(), expected.size());
+      for (size_t h = 0; h < expected.size(); ++h) {
+        EXPECT_EQ(canonical[h]->header.Hash(), expected[h]->header.Hash());
+        Result<const Block*> by_height = chain.BlockByHeight(h);
+        ASSERT_TRUE(by_height.ok());
+        EXPECT_EQ(*by_height, canonical[h]);
+      }
+      EXPECT_FALSE(chain.BlockByHeight(expected.size()).ok());
+
+      const auto where = ids_on(expected);
+      for (const Offered& o : offered) {
+        const Transaction* found = nullptr;
+        uint64_t height = 0;
+        const bool hit = chain.FindTransaction(o.tx.Id(), &found, &height);
+        auto it = where.find(o.id);
+        ASSERT_EQ(hit, it != where.end()) << o.id;
+        if (!hit) continue;
+        EXPECT_EQ(height, it->second.first);
+        EXPECT_EQ(found, &canonical[height]->transactions[it->second.second]);
+      }
+
+      // The transactions of canonical blocks that old_head's ancestry lacks.
+      const std::vector<const Block*> before = walk(old_head_hex);
+      const std::set<const Block*> old_blocks(before.begin(), before.end());
+      std::set<std::string> since;
+      for (const Block* block : expected) {
+        if (old_blocks.count(block) > 0) continue;
+        for (const Transaction& tx : block->transactions) {
+          since.insert(tx.Id().ToHex());
+        }
+      }
+      EXPECT_EQ(chain.TxIdsCanonicalSince(
+                    blocks.at(old_head_hex).header.Hash()),
+                since);
+    };
+
+    size_t accepted = 0;
+    int tie_switches = 0;
+    int genesis_reorgs = 0;
+    int replays_rejected = 0;
+    uint64_t nonce = 0;
+    std::string genesis_branch = genesis_hex;  // tip of a fork at genesis
+    bool burst = false;  // growing genesis_branch past the head
+    while (accepted < 210) {
+      const Block& head = chain.head();
+      const std::string head_hex = head.header.Hash().ToHex();
+      std::string parent_hex;
+      if (accepted % 70 == 69) burst = true;
+      const uint64_t roll = rng.NextBelow(10);
+      if (burst) {
+        parent_hex = genesis_branch;
+      } else if (roll < 5) {
+        parent_hex = head_hex;
+      } else if (roll < 7) {  // a sibling of the head: a tie-break
+        parent_hex = head.header.height == 0 ? head_hex
+                                             : head.header.parent.ToHex();
+      } else if (roll < 8) {
+        parent_hex = genesis_branch;
+      } else {
+        auto it = blocks.begin();
+        std::advance(it, rng.NextIndex(blocks.size()));
+        parent_hex = it->first;
+      }
+      const std::vector<const Block*> ancestry = walk(parent_hex);
+      const auto in_ancestry = ids_on(ancestry);
+
+      std::vector<Transaction> txs;
+      std::set<std::string> chosen;
+      const uint64_t count = rng.NextBelow(4);
+      for (uint64_t i = 0; i < count; ++i) {
+        if (!offered.empty() && rng.NextBool(0.5)) {
+          const Offered& o = offered[rng.NextIndex(offered.size())];
+          if (in_ancestry.count(o.id) == 0 && chosen.insert(o.id).second) {
+            txs.push_back(o.tx);
+          }
+        } else {
+          Transaction tx = MakeTx("tree", ++nonce);
+          std::string id = tx.Id().ToHex();
+          chosen.insert(id);
+          txs.push_back(tx);
+          offered.push_back(Offered{std::move(tx), std::move(id)});
+        }
+      }
+      const Block& parent = blocks.at(parent_hex);
+      const Micros stamp =
+          parent.header.timestamp + 1 + static_cast<Micros>(rng.NextBelow(50));
+
+      // Now and then, replay a transaction already in the ancestry: the
+      // ancestry check must reject the block and leave the index alone.
+      if (!in_ancestry.empty() && rng.NextBool(0.1)) {
+        auto pick = in_ancestry.begin();
+        std::advance(pick, rng.NextIndex(in_ancestry.size()));
+        const auto [height, index] = pick->second;
+        std::vector<Transaction> replay = txs;
+        replay.push_back(ancestry[height]->transactions[index]);
+        Status s = chain.AddBlock(MakeBlock(parent, replay, stamp));
+        EXPECT_TRUE(s.IsAlreadyExists()) << s;
+        ++replays_rejected;
+        check(head_hex);
+      }
+
+      Block block = MakeBlock(parent, std::move(txs), stamp);
+      const std::string hex = block.header.Hash().ToHex();
+      if (blocks.count(hex) > 0) continue;  // identical block drawn again
+      const uint64_t old_height = head.header.height;
+      Status added = chain.AddBlock(block);
+      ASSERT_TRUE(added.ok()) << added;
+      ++accepted;
+      for (const Transaction& tx : block.transactions) {
+        carried_at[tx.Id().ToHex()].insert(block.header.height);
+      }
+      blocks.emplace(hex, std::move(block));
+      if (parent_hex == genesis_branch) genesis_branch = hex;
+
+      const std::string new_head_hex = chain.head().header.Hash().ToHex();
+      if (new_head_hex != head_hex && chain.height() == old_height) {
+        ++tie_switches;
+      }
+      const std::vector<const Block*> new_path = walk(new_head_hex);
+      if (old_height >= 10 && new_path.size() > 1 &&
+          new_path[1] != walk(head_hex)[1]) {
+        ++genesis_reorgs;  // the new head forks from the old at genesis
+      }
+      if (burst && new_head_hex == genesis_branch) {
+        burst = false;
+        genesis_branch = genesis_hex;
+      }
+      check(head_hex);
+      if (HasFatalFailure()) return;
+    }
+
+    EXPECT_GE(chain.block_count(), 211u);
+    EXPECT_GE(tie_switches, 1);
+    EXPECT_GE(genesis_reorgs, 1);
+    EXPECT_GE(replays_rejected, 1);
+    size_t two_heights = 0;
+    for (const auto& [id, heights] : carried_at) {
+      if (heights.size() >= 2) ++two_heights;
+    }
+    EXPECT_GE(two_heights, 1u);
+  }
 }
 
 TEST_F(BlockchainTest, VerifyIntegrityPassesOnHonestChain) {

@@ -191,6 +191,77 @@ TEST_F(NodeClusterTest, ReorgReexecutesCanonicalChain) {
             nodes_[1]->host().StateFingerprint());
 }
 
+// Regression: block acceptance evicted only the transactions of canonical
+// blocks above the OLD head's height. A reorg onto a known side branch
+// makes that branch's lower blocks canonical too, and their transactions
+// stayed pooled; a follower never seals, so nothing else dropped them.
+TEST_F(NodeClusterTest, ReorgEvictsSideBranchTransactionsFromFollowerPool) {
+  network_ = std::make_unique<net::SimNetwork>(&simulator_,
+                                               net::LatencyModel{}, 7);
+  auto authority = std::make_shared<crypto::KeyPair>(
+      crypto::KeyPair::FromSeed("follower-test-authority"));
+  const std::vector<crypto::Address> authorities{authority->address()};
+  chain::PoaSealer test_sealer(authorities, authority);
+  auto host = std::make_unique<contracts::ContractHost>();
+  host->RegisterType("metadata", contracts::MetadataContract::Create);
+  NodeConfig config;
+  config.id = "follower";
+  config.block_interval = kBlockInterval;
+  config.sealing_enabled = false;
+  const chain::Block genesis =
+      chain::Blockchain::MakeGenesis(simulator_.Now());
+  ChainNode follower(config, &simulator_, network_.get(),
+                     std::make_shared<chain::PoaSealer>(authorities, nullptr),
+                     genesis, contracts::SharedDataConflictKey,
+                     std::move(host));
+  follower.Start();
+
+  const chain::Transaction t = DeployTx();
+  ASSERT_TRUE(follower.SubmitTransaction(t).ok());
+
+  auto make_block = [&](const chain::Block& parent,
+                        std::vector<chain::Transaction> txs, Micros offset) {
+    chain::Block block;
+    block.header.height = parent.header.height + 1;
+    block.header.parent = parent.header.Hash();
+    block.header.timestamp = parent.header.timestamp + offset;
+    block.transactions = std::move(txs);
+    block.header.merkle_root = block.ComputeMerkleRoot();
+    EXPECT_TRUE(test_sealer.Seal(&block).ok());
+    return block;
+  };
+  // B1 carries t; A1 is empty and, by the smaller-hash tie-break, wins
+  // height 1. Vary A1's timestamp until it does.
+  const chain::Block b1 = make_block(genesis, {t}, 1);
+  chain::Block a1;
+  for (Micros offset = 2;; ++offset) {
+    a1 = make_block(genesis, {}, offset);
+    if (a1.header.Hash().ToHex() < b1.header.Hash().ToHex()) break;
+  }
+  const chain::Block b2 = make_block(b1, {}, 1);
+  auto deliver = [&](const chain::Block& block) {
+    ASSERT_TRUE(network_
+                    ->Send(net::Message{"tester", "follower", "block",
+                                        block.ToJson()})
+                    .ok());
+    simulator_.RunFor(kBlockInterval);
+  };
+
+  deliver(a1);
+  deliver(b1);
+  ASSERT_EQ(follower.blockchain().head().header.Hash(), a1.header.Hash());
+  EXPECT_TRUE(follower.mempool().Contains(t.Id()));  // t is not canonical
+
+  deliver(b2);  // reorg: B1 and B2 become canonical
+  ASSERT_EQ(follower.blockchain().head().header.Hash(), b2.header.Hash());
+  simulator_.RunFor(10 * kBlockInterval);
+  uint64_t height = 0;
+  EXPECT_TRUE(follower.blockchain().FindTransaction(t.Id(), nullptr, &height));
+  EXPECT_EQ(height, 1u);
+  EXPECT_FALSE(follower.mempool().Contains(t.Id()));
+  EXPECT_TRUE(follower.mempool().empty());
+}
+
 TEST_F(NodeClusterTest, MalformedMessagesAreIgnoredWithoutCrashing) {
   BuildCluster(2);
   auto send = [&](const std::string& type, Json payload) {
