@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -15,7 +14,6 @@
 #include "medical/records.h"
 #include "relational/aggregate.h"
 #include "relational/database.h"
-#include "relational/index.h"
 #include "relational/query.h"
 
 namespace {
@@ -161,76 +159,6 @@ void BM_SelectFullScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SelectFullScan)->Range(64, 16384);
-
-void BM_SelectSecondaryIndex(benchmark::State& state) {
-  // Same query via a prebuilt secondary index: O(log n + hits) per probe.
-  Table records = medical::GenerateFullRecords(
-      {.seed = 4, .record_count = static_cast<size_t>(state.range(0))});
-  SecondaryIndex index =
-      *SecondaryIndex::Build(records, medical::kAddress);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        IndexedSelectEquals(records, index, Value::String("Osaka")));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SelectSecondaryIndex)->Range(64, 16384);
-
-void BM_SecondaryIndexBuild(benchmark::State& state) {
-  Table records = medical::GenerateFullRecords(
-      {.seed = 4, .record_count = static_cast<size_t>(state.range(0))});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SecondaryIndex::Build(records, medical::kAddress));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SecondaryIndexBuild)->Range(64, 16384);
-
-void BM_SecondaryIndexDeltaVsRebuild(benchmark::State& state) {
-  // Keeping an index current across a single-row change: ApplyDelta is
-  // O(|delta| log n) where a rebuild pays O(n log n) again. range(1)
-  // selects the strategy so the JSON carries both series per size.
-  const bool rebuild = state.range(1) == 1;
-  Table table = medical::GenerateFullRecords(
-      {.seed = 4, .record_count = static_cast<size_t>(state.range(0))});
-  SecondaryIndex index = *SecondaryIndex::Build(table, medical::kAddress);
-  std::vector<Key> keys;
-  for (const auto& [key, row] : table.scan()) keys.push_back(key);
-  uint64_t round = 0;
-  double maintain_seconds = 0;
-  for (auto _ : state) {
-    TableDelta delta;
-    Row updated = *table.Get(keys[round % keys.size()]);
-    updated[3] = Value::String(StrCat("City-", round++));
-    delta.updates.push_back(updated);
-    // Only the index maintenance is timed; the table mutation itself is
-    // common to both strategies.
-    if (rebuild) {
-      if (!ApplyDelta(delta, &table).ok()) std::abort();
-      auto start = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(
-          SecondaryIndex::Build(table, medical::kAddress));
-      maintain_seconds += std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-    } else {
-      auto start = std::chrono::steady_clock::now();
-      if (!index.ApplyDelta(table, delta).ok()) std::abort();
-      maintain_seconds += std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-      benchmark::DoNotOptimize(index);
-      if (!ApplyDelta(delta, &table).ok()) std::abort();
-    }
-  }
-  state.counters["maintain_us_per_op"] =
-      1e6 * maintain_seconds / static_cast<double>(state.iterations());
-  state.SetLabel(rebuild ? "rebuild" : "apply_delta");
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SecondaryIndexDeltaVsRebuild)
-    ->ArgsProduct({{64, 1024, 16384}, {0, 1}});
 
 // ---------------------------------------------------------------------------
 // Columnar chunk engine at million-row scale (DESIGN.md section 15). These

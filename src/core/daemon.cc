@@ -2,45 +2,21 @@
 
 #include <utility>
 
-#include "bx/lens_factory.h"
-#include "chain/transaction.h"
 #include "common/strings.h"
-#include "contracts/host.h"
 #include "core/audit.h"
-#include "core/scenario.h"
-#include "medical/generator.h"
+#include "core/deployment.h"
 #include "medical/records.h"
-#include "relational/query.h"
 
 namespace medsync::core {
 
-using medical::kAddress;
-using medical::kClinicalData;
-using medical::kDosage;
-using medical::kMechanismOfAction;
-using medical::kMedicationName;
-using medical::kModeOfAction;
-using medical::kPatientId;
 using relational::Table;
-using relational::Value;
 
 namespace {
 
-constexpr const char* kRoleNames[] = {"doctor", "patient", "researcher",
-                                      "observer"};
+/// Every role's chain node is one authority of four.
+constexpr size_t kDaemonNodeCount = 4;
 
 }  // namespace
-
-Result<ClinicRole> ParseClinicRole(std::string_view name) {
-  for (size_t i = 0; i < 4; ++i) {
-    if (name == kRoleNames[i]) return static_cast<ClinicRole>(i);
-  }
-  return Status::InvalidArgument(StrCat("unknown clinic role '", name, "'"));
-}
-
-std::string ClinicRoleName(ClinicRole role) {
-  return kRoleNames[static_cast<size_t>(role)];
-}
 
 size_t ClinicDaemon::NodeIndexFor(ClinicRole role) {
   return static_cast<size_t>(role);
@@ -53,79 +29,46 @@ std::vector<std::string> ClinicDaemon::LocalIds(ClinicRole role) {
   return ids;
 }
 
-ClinicDaemon::ClinicDaemon(const ClinicDaemonOptions& options)
-    : options_(options) {}
+ClinicDaemon::ClinicDaemon(const ClinicDaemonOptions& options,
+                           net::Scheduler* scheduler, net::Network* network)
+    : options_(options),
+      metrics_(std::make_unique<metrics::MetricsRegistry>()),
+      scheduler_(scheduler) {
+  runtime::NodeDaemonOptions node;
+  node.node_index = NodeIndexFor(options_.role);
+  node.authority_count = kDaemonNodeCount;
+  node.node.block_interval = options_.block_interval;
+  node.node.metrics = metrics_.get();
+  node_daemon_ = std::make_unique<runtime::NodeDaemon>(std::move(node),
+                                                       scheduler, network);
+
+  // Every process, the observer included, materializes the whole cast: the
+  // symmetric test crypto verifies signatures through a process-local key
+  // registry that fills in as keys are constructed.
+  ClinicCast(&names_, &addresses_);
+
+  if (options_.role != ClinicRole::kObserver) {
+    peer_ = std::make_unique<Peer>(
+        PeerConfig{.name = ClinicRoleName(options_.role)}, scheduler, network,
+        &node_daemon_->node());
+    peer_->SetMetrics(metrics_.get());
+  }
+}
 
 ClinicDaemon::~ClinicDaemon() { *alive_ = false; }
 
 Result<std::unique_ptr<ClinicDaemon>> ClinicDaemon::Create(
     const ClinicDaemonOptions& options, net::Scheduler* scheduler,
     net::Network* network) {
-  auto daemon = std::unique_ptr<ClinicDaemon>(new ClinicDaemon(options));
-  MEDSYNC_RETURN_IF_ERROR(daemon->Build(scheduler, network));
-  return daemon;
-}
-
-Status ClinicDaemon::Build(net::Scheduler* scheduler, net::Network* network) {
-  scheduler_ = scheduler;
-  metrics_ = std::make_unique<metrics::MetricsRegistry>();
-
-  runtime::NodeDaemonOptions node_options;
-  node_options.node_index = NodeIndexFor(options_.role);
-  node_options.authority_count = options_.chain_node_count;
-  node_options.block_interval = options_.block_interval;
-  node_options.genesis_timestamp = options_.genesis_timestamp;
-  node_options.metrics = metrics_.get();
-  node_daemon_ = std::make_unique<runtime::NodeDaemon>(node_options, scheduler,
-                                                       network);
-
-  // The symmetric test crypto (crypto/keys.h) verifies signatures through a
-  // process-local key registry that fills in as KeyPairs are constructed.
-  // The one-process simulator gets every identity registered for free; a
-  // multi-process deployment must materialize the closed cast explicitly,
-  // or a process that hosts no peer (the observer) rejects every block
-  // carrying a peer transaction as a bad signature.
-  for (const char* name : {"doctor", "patient", "researcher"}) {
-    crypto::KeyPair materialized = crypto::KeyPair::FromSeed(name);
-    (void)materialized;
-  }
-
-  // Every process derives the contract address from the deployment rule
-  // (doctor's address, nonce 0) instead of hearing it from the doctor — the
-  // chain itself is the only rendezvous a deployment needs.
-  doctor_address_ = crypto::KeyPair::FromSeed("doctor").address();
-  chain::Transaction deploy;
-  deploy.from = doctor_address_;
-  deploy.nonce = 0;
-  contract_ = contracts::ContractHost::DeploymentAddress(deploy);
-
-  if (options_.role != ClinicRole::kObserver) {
-    PeerConfig config;
-    config.name = ClinicRoleName(options_.role);
-    peer_ = std::make_unique<Peer>(config, scheduler, network,
-                                   &node_daemon_->node());
-    peer_->SetMetrics(metrics_.get());
-  }
-
-  switch (options_.role) {
-    case ClinicRole::kDoctor:
-      phase_ = Phase::kWaitUpstream;
-      break;
-    case ClinicRole::kResearcher:
-      phase_ = Phase::kWaitRegistration;
-      break;
-    default:
-      phase_ = Phase::kWaitConverged;
-      break;
-  }
-  return Status::OK();
+  return std::unique_ptr<ClinicDaemon>(
+      new ClinicDaemon(options, scheduler, network));
 }
 
 void ClinicDaemon::Start() {
   if (started_) return;
   started_ = true;
   started_at_ = scheduler_->Now();
-  node_daemon_->Start();
+  node_daemon_->node().Start();
   if (peer_ != nullptr) {
     peer_->Start();
     if (Status status = SetupRoleData(); !status.ok()) {
@@ -137,118 +80,12 @@ void ClinicDaemon::Start() {
 }
 
 Status ClinicDaemon::SetupRoleData() {
-  Peer& peer = *peer_;
-  for (ClinicRole other : {ClinicRole::kDoctor, ClinicRole::kPatient,
-                           ClinicRole::kResearcher}) {
-    if (other == options_.role) continue;
-    const std::string name = ClinicRoleName(other);
-    peer.AddKnownPeer(name, crypto::KeyPair::FromSeed(name).address());
-  }
-
   // The Fig. 1 distribution, projected identically in every process so the
   // agreed initial shared contents line up without any data exchange.
-  Table full = medical::MakeFig1FullRecords();
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d1, relational::Project(
-                    full,
-                    {kPatientId, kMedicationName, kClinicalData, kAddress,
-                     kDosage},
-                    {kPatientId}));
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d2,
-      relational::Project(full,
-                          {kMedicationName, kMechanismOfAction, kModeOfAction},
-                          {kMedicationName}));
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d3, relational::Project(
-                    full,
-                    {kPatientId, kMedicationName, kClinicalData,
-                     kMechanismOfAction, kDosage},
-                    {kPatientId}));
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d13, relational::Project(
-                     d1, {kPatientId, kMedicationName, kClinicalData, kDosage},
-                     {kPatientId}));
-  MEDSYNC_ASSIGN_OR_RETURN(
-      Table d32, relational::Project(d3, {kMedicationName, kMechanismOfAction},
-                                     {kMedicationName}));
-
-  bx::LensPtr lens_pd = bx::MakeProjectLens(
-      {kPatientId, kMedicationName, kClinicalData, kDosage}, {kPatientId});
-  bx::LensPtr lens_dr = bx::MakeProjectLens(
-      {kMedicationName, kMechanismOfAction}, {kMedicationName});
-
-  auto install = [&peer](const std::string& name,
-                         const Table& table) -> Status {
-    MEDSYNC_RETURN_IF_ERROR(peer.database().CreateTable(name, table.schema()));
-    return peer.database().ReplaceTable(name, table);
-  };
-
-  switch (options_.role) {
-    case ClinicRole::kDoctor: {
-      MEDSYNC_RETURN_IF_ERROR(install("D3", d3));
-      MEDSYNC_RETURN_IF_ERROR(install("D31", d13));
-      MEDSYNC_RETURN_IF_ERROR(install("D32", d32));
-      MEDSYNC_ASSIGN_OR_RETURN(crypto::Address deployed,
-                               peer.DeployMetadataContract());
-      if (deployed.ToHex() != contract_.ToHex()) {
-        return Status::Internal(
-            StrCat("deployed contract address ", deployed.ToHex(),
-                   " != derived ", contract_.ToHex(),
-                   " (deploy must be the doctor's first transaction)"));
-      }
-      SharedTableConfig pd{ClinicScenario::kPatientDoctorTable, "D3", "D31",
-                           lens_pd, contract_};
-      SharedTableConfig dr{ClinicScenario::kDoctorResearcherTable, "D3",
-                           "D32", lens_dr, contract_};
-      MEDSYNC_RETURN_IF_ERROR(peer.AdoptSharedTable(pd));
-      MEDSYNC_RETURN_IF_ERROR(peer.AdoptSharedTable(dr));
-      const crypto::Address patient =
-          crypto::KeyPair::FromSeed("patient").address();
-      const crypto::Address researcher =
-          crypto::KeyPair::FromSeed("researcher").address();
-      const crypto::Address& doctor = peer.address();
-      // Fig. 3 permission matrix (same terms as ClinicScenario).
-      MEDSYNC_RETURN_IF_ERROR(
-          peer.RegisterSharedTableOnChain(
-                  pd, {patient, doctor},
-                  {{kMedicationName, {doctor}},
-                   {kDosage, {doctor}},
-                   {kClinicalData, {patient, doctor}}},
-                  {doctor}, doctor)
-              .status());
-      MEDSYNC_RETURN_IF_ERROR(
-          peer.RegisterSharedTableOnChain(
-                  dr, {doctor, researcher},
-                  {{kMedicationName, {doctor, researcher}},
-                   {kMechanismOfAction, {researcher}}},
-                  {doctor}, researcher)
-              .status());
-      shared_views_ = {{ClinicScenario::kPatientDoctorTable, "D31"},
-                       {ClinicScenario::kDoctorResearcherTable, "D32"}};
-      break;
-    }
-    case ClinicRole::kPatient: {
-      MEDSYNC_RETURN_IF_ERROR(install("D1", d1));
-      MEDSYNC_RETURN_IF_ERROR(install("D13", d13));
-      SharedTableConfig config{ClinicScenario::kPatientDoctorTable, "D1",
-                               "D13", lens_pd, contract_};
-      MEDSYNC_RETURN_IF_ERROR(peer.AdoptSharedTable(config));
-      shared_views_ = {{ClinicScenario::kPatientDoctorTable, "D13"}};
-      break;
-    }
-    case ClinicRole::kResearcher: {
-      MEDSYNC_RETURN_IF_ERROR(install("D2", d2));
-      MEDSYNC_RETURN_IF_ERROR(install("D23", d32));
-      SharedTableConfig config{ClinicScenario::kDoctorResearcherTable, "D2",
-                               "D23", lens_dr, contract_};
-      MEDSYNC_RETURN_IF_ERROR(peer.AdoptSharedTable(config));
-      shared_views_ = {{ClinicScenario::kDoctorResearcherTable, "D23"}};
-      break;
-    }
-    case ClinicRole::kObserver:
-      break;
-  }
+  MEDSYNC_ASSIGN_OR_RETURN(ClinicData data,
+                           ProjectClinicData(medical::MakeFig1FullRecords()));
+  MEDSYNC_ASSIGN_OR_RETURN(shared_,
+                           SetupClinicPeer(*peer_, options_.role, data));
   return Status::OK();
 }
 
@@ -267,47 +104,30 @@ void ClinicDaemon::Tick() {
     return;
   }
 
-  switch (phase_) {
-    case Phase::kWaitRegistration:
-      // Researcher, Fig. 5 steps 1-6: fire once the registration is
-      // visible on its own node.
-      if (EntryAtVersion(ClinicScenario::kDoctorResearcherTable, 1, true)) {
-        acted_at_ = scheduler_->Now();
-        Status status = peer_->UpdateSourceAndPropagate(
-            "D2", [](relational::Database* db) {
-              return db->UpdateAttribute("D2", {Value::String("Ibuprofen")},
-                                         kMechanismOfAction,
-                                         Value::String("MeA1-new"));
-            });
-        if (!status.ok()) {
-          Fail(std::move(status));
-          return;
-        }
-        phase_ = Phase::kWaitConverged;
+  if (update_pending_) {
+    // The researcher (Fig. 5 steps 1-6) updates once the registration is
+    // visible on its own node; the doctor (steps 7-11) once the
+    // researcher's update has committed AND this peer has applied + acked
+    // it (no fetch in flight), so the two cascades never interleave.
+    const bool ready =
+        options_.role == ClinicRole::kResearcher
+            ? EntrySettledAt(ClinicScenario::kDoctorResearcherTable, 1)
+            : EntrySettledAt(ClinicScenario::kDoctorResearcherTable, 2) &&
+                  !peer_->HasPendingWork();
+    if (ready) {
+      update_pending_ = false;
+      acted_at_ = scheduler_->Now();
+      Status status = options_.role == ClinicRole::kResearcher
+                          ? Fig5ResearcherUpdate(*peer_)
+                          : Fig5DoctorUpdate(*peer_);
+      if (!status.ok()) {
+        Fail(std::move(status));
+        return;
       }
-      break;
-    case Phase::kWaitUpstream:
-      // Doctor, Fig. 5 steps 7-11: fire once the researcher's update has
-      // committed AND this peer has applied + acked it (pending_acks empty,
-      // no fetch in flight), so the two cascades never interleave.
-      if (EntryAtVersion(ClinicScenario::kDoctorResearcherTable, 2, true) &&
-          !peer_->HasPendingWork()) {
-        acted_at_ = scheduler_->Now();
-        Status status = peer_->UpdateSharedAttribute(
-            ClinicScenario::kPatientDoctorTable, {Value::Int(188)}, kDosage,
-            Value::String("one tablet every 6h"));
-        if (!status.ok()) {
-          Fail(std::move(status));
-          return;
-        }
-        phase_ = Phase::kWaitConverged;
-      }
-      break;
-    case Phase::kWaitConverged:
-      break;
+    }
   }
 
-  if (phase_ == Phase::kWaitConverged && CheckConverged()) {
+  if (!update_pending_ && CheckConverged()) {
     converged_ = true;
     converged_at_ = scheduler_->Now();
     return;
@@ -315,34 +135,22 @@ void ClinicDaemon::Tick() {
   ScheduleTick();
 }
 
-Result<Json> ClinicDaemon::Entry(const std::string& table_id) {
-  Json params = Json::MakeObject();
-  params.Set("table_id", table_id);
-  return node_daemon_->node().Query(contract_, "get_entry", params,
-                                    doctor_address_);
-}
-
-bool ClinicDaemon::EntryAtVersion(const std::string& table_id, int64_t version,
-                                  bool require_no_pending_acks) {
-  Result<Json> entry = Entry(table_id);
-  if (!entry.ok()) return false;
+bool ClinicDaemon::EntrySettledAt(const std::string& table_id,
+                                  int64_t version) {
+  Result<Json> entry =
+      QueryEntry(node_daemon_->node(), contract_, table_id, addresses_[0]);
+  if (!entry.ok() || AwaitsAcks(entry)) return false;
   Result<int64_t> got = entry->GetInt("version");
-  if (!got.ok() || *got < version) return false;
-  if (require_no_pending_acks && entry->At("pending_acks").size() > 0) {
-    return false;
-  }
-  return true;
+  return got.ok() && *got >= version;
 }
 
 bool ClinicDaemon::CheckConverged() {
-  if (!EntryAtVersion(ClinicScenario::kPatientDoctorTable, 2, true)) {
+  if (!EntrySettledAt(ClinicScenario::kPatientDoctorTable, 2) ||
+      !EntrySettledAt(ClinicScenario::kDoctorResearcherTable, 2)) {
     return false;
   }
-  if (!EntryAtVersion(ClinicScenario::kDoctorResearcherTable, 2, true)) {
-    return false;
-  }
-  if (peer_ != nullptr && peer_->HasPendingWork()) return false;
-  return node_daemon_->node().mempool_total_size() == 0;
+  return (peer_ == nullptr || !peer_->HasPendingWork()) &&
+         node_daemon_->node().mempools_empty();
 }
 
 void ClinicDaemon::Fail(Status status) {
@@ -357,7 +165,8 @@ Json ClinicDaemon::Report() {
   for (const char* table_id : {ClinicScenario::kPatientDoctorTable,
                                ClinicScenario::kDoctorResearcherTable}) {
     Json summary = Json::MakeObject();
-    Result<Json> entry = Entry(table_id);
+    Result<Json> entry =
+        QueryEntry(node, contract_, table_id, addresses_[0]);
     if (entry.ok()) {
       summary.Set("version", entry->At("version"));
       summary.Set("content_digest", entry->At("content_digest"));
@@ -387,9 +196,9 @@ Json ClinicDaemon::Report() {
   }
 
   Json digests = Json::MakeObject();
-  for (const auto& [table_id, view_table] : shared_views_) {
-    Result<const Table*> table = peer_->database().GetTable(view_table);
-    digests.Set(table_id, table.ok() ? (*table)->ContentDigest() : "");
+  for (const SharedTableConfig& config : shared_) {
+    Result<const Table*> table = peer_->database().GetTable(config.view_table);
+    digests.Set(config.table_id, table.ok() ? (*table)->ContentDigest() : "");
   }
 
   // The compare block excludes tx ids, block heights and timestamps: those
@@ -412,19 +221,16 @@ Json ClinicDaemon::Report() {
   if (peer_ != nullptr) {
     const Peer::Stats& stats = peer_->stats();
     Json peer_stats = Json::MakeObject();
-    peer_stats.Set("updates_proposed",
-                   static_cast<int64_t>(stats.updates_proposed));
-    peer_stats.Set("updates_committed",
-                   static_cast<int64_t>(stats.updates_committed));
-    peer_stats.Set("updates_denied",
-                   static_cast<int64_t>(stats.updates_denied));
-    peer_stats.Set("fetches_served",
-                   static_cast<int64_t>(stats.fetches_served));
-    peer_stats.Set("fetches_applied",
-                   static_cast<int64_t>(stats.fetches_applied));
-    peer_stats.Set("acks_sent", static_cast<int64_t>(stats.acks_sent));
-    peer_stats.Set("digest_mismatches",
-                   static_cast<int64_t>(stats.digest_mismatches));
+    for (const auto& [name, value] :
+         {std::pair{"updates_proposed", stats.updates_proposed},
+          {"updates_committed", stats.updates_committed},
+          {"updates_denied", stats.updates_denied},
+          {"fetches_served", stats.fetches_served},
+          {"fetches_applied", stats.fetches_applied},
+          {"acks_sent", stats.acks_sent},
+          {"digest_mismatches", stats.digest_mismatches}}) {
+      peer_stats.Set(name, static_cast<int64_t>(value));
+    }
     info.Set("peer", std::move(peer_stats));
   }
 

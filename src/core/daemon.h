@@ -8,29 +8,20 @@
 #include "common/metrics/metrics.h"
 #include "common/result.h"
 #include "core/peer.h"
+#include "core/scenario.h"
 #include "net/network.h"
 #include "net/scheduler.h"
 #include "runtime/daemon.h"
 
 namespace medsync::core {
 
-/// Which clinic stakeholder this process plays. Doctor/patient/researcher
-/// each host one chain node plus their Peer; the observer hosts only the
-/// fourth chain node (a pure authority, completing the PoA set).
-enum class ClinicRole { kDoctor, kPatient, kResearcher, kObserver };
-
-Result<ClinicRole> ParseClinicRole(std::string_view name);
-std::string ClinicRoleName(ClinicRole role);
-
 struct ClinicDaemonOptions {
   ClinicRole role = ClinicRole::kObserver;
-  size_t chain_node_count = 4;
   Micros block_interval = 500 * kMicrosPerMilli;
   /// Script state-machine poll cadence.
   Micros tick_interval = 50 * kMicrosPerMilli;
   /// Give up (failed() becomes true) if not converged by then.
   Micros timeout = 120 * kMicrosPerSecond;
-  Micros genesis_timestamp = SimClock::kDefaultEpoch;
 };
 
 /// One multi-process clinic deployment member: hosts a chain node (plus,
@@ -90,18 +81,17 @@ class ClinicDaemon {
   static size_t NodeIndexFor(ClinicRole role);
 
  private:
-  explicit ClinicDaemon(const ClinicDaemonOptions& options);
+  ClinicDaemon(const ClinicDaemonOptions& options, net::Scheduler* scheduler,
+               net::Network* network);
 
-  Status Build(net::Scheduler* scheduler, net::Network* network);
   /// Fig. 1 slice + shared-table adoption (and, for the doctor, contract
   /// deploy + both on-chain registrations). Runs at Start.
   Status SetupRoleData();
   void ScheduleTick();
   void Tick();
-  /// get_entry via the local node; !ok while not yet on-chain.
-  Result<Json> Entry(const std::string& table_id);
-  bool EntryAtVersion(const std::string& table_id, int64_t version,
-                      bool require_no_pending_acks);
+  /// Whether `table_id` is on-chain at `version` or later with no
+  /// outstanding acks.
+  bool EntrySettledAt(const std::string& table_id, int64_t version);
   bool CheckConverged();
   void Fail(Status status);
 
@@ -110,13 +100,17 @@ class ClinicDaemon {
   std::unique_ptr<runtime::NodeDaemon> node_daemon_;
   std::unique_ptr<Peer> peer_;  // null for the observer
   net::Scheduler* scheduler_ = nullptr;
-  crypto::Address contract_;
-  crypto::Address doctor_address_;  // get_entry caller for every role
-  /// (on-chain table id, local view table) pairs this role shares.
-  std::vector<std::pair<std::string, std::string>> shared_views_;
+  /// ClinicCast's names and addresses; the doctor (first) is the get_entry
+  /// caller for every role.
+  std::vector<std::string> names_;
+  std::vector<crypto::Address> addresses_;
+  const crypto::Address contract_ = ClinicContractAddress();
+  /// The shared tables this role adopted.
+  std::vector<SharedTableConfig> shared_;
 
-  enum class Phase { kWaitRegistration, kWaitUpstream, kWaitConverged };
-  Phase phase_ = Phase::kWaitConverged;
+  /// The doctor and the researcher each script one Fig. 5 update.
+  bool update_pending_ = options_.role == ClinicRole::kDoctor ||
+                         options_.role == ClinicRole::kResearcher;
   bool started_ = false;
   bool converged_ = false;
   Status failure_ = Status::OK();

@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "core/deployment.h"
 #include "relational/delta.h"
 
 namespace medsync::core {
@@ -10,6 +11,14 @@ using relational::Key;
 using relational::Row;
 using relational::Table;
 using relational::Value;
+
+namespace {
+/// Re-send delay and budget of an unanswered shared-data fetch.
+constexpr Micros kFetchRetryDelay = 500 * kMicrosPerMilli;
+constexpr int kMaxFetchRetries = 20;
+/// Period of the SyncWithChain catch-up (partition heal, post-restart).
+constexpr Micros kCatchUpInterval = 3 * kMicrosPerSecond;
+}  // namespace
 
 Peer::Peer(PeerConfig config, net::Scheduler* scheduler,
            net::Network* network, runtime::ChainNode* node)
@@ -21,35 +30,23 @@ Peer::Peer(PeerConfig config, net::Scheduler* scheduler,
       sync_(&database_, config_.strategy) {
   sync_.set_maintenance(config_.maintenance);
   address_to_name_[key_.address().ToHex()] = config_.name;
-  if (config_.reliable_delivery) {
-    channel_ = std::make_unique<net::ReliableChannel>(
-        config_.name, scheduler_, network_, this, config_.reliable);
-    channel_->set_give_up_callback([this](const net::Message& message) {
-      Trace(StrCat("reliable delivery of '", message.type, "' to ",
-                   message.to, " gave up; catch-up will reconcile"));
-    });
-  }
+  channel_ = std::make_unique<net::ReliableChannel>(config_.name, scheduler_,
+                                                    network_, this);
+  channel_->set_give_up_callback([this](const net::Message& message) {
+    Trace(StrCat("reliable delivery of '", message.type, "' to ",
+                 message.to, " gave up; catch-up will reconcile"));
+  });
 }
 
 Peer::~Peer() {
   *alive_ = false;
-  if (started_) {
-    if (channel_ != nullptr) {
-      channel_->Detach();
-    } else {
-      network_->Detach(config_.name);
-    }
-  }
+  if (started_) channel_->Detach();
 }
 
 void Peer::Start() {
   if (started_) return;
   started_ = true;
-  if (channel_ != nullptr) {
-    channel_->Attach();
-  } else {
-    network_->Attach(config_.name, this);
-  }
+  channel_->Attach();
   node_->SubscribeReceipts(
       [this, alive = alive_](const contracts::Receipt& receipt) {
         if (*alive) OnReceipt(receipt);
@@ -58,11 +55,11 @@ void Peer::Start() {
       [this, alive = alive_](uint64_t height, const contracts::Event& event) {
         if (*alive) OnChainEvent(height, event);
       });
-  if (config_.catch_up_interval > 0) ScheduleCatchUp();
+  ScheduleCatchUp();
 }
 
 void Peer::ScheduleCatchUp() {
-  scheduler_->Schedule(config_.catch_up_interval, [this, alive = alive_] {
+  scheduler_->Schedule(kCatchUpInterval, [this, alive = alive_] {
     if (!*alive) return;
     // A failing query just means the chain node is busy or the table is
     // not registered yet; the next tick will try again.
@@ -73,9 +70,8 @@ void Peer::ScheduleCatchUp() {
 
 Status Peer::SendToPeer(const std::string& to, const std::string& type,
                         Json payload) {
-  net::Message message{config_.name, to, type, std::move(payload)};
-  if (channel_ != nullptr) return channel_->Send(std::move(message));
-  return network_->Send(std::move(message));
+  return channel_->Send(
+      net::Message{config_.name, to, type, std::move(payload)});
 }
 
 void Peer::AddKnownPeer(const std::string& name,
@@ -143,10 +139,8 @@ Result<size_t> Peer::SyncWithChain() {
   size_t behind = 0;
   const std::string self_hex = key_.address().ToHex();
   for (auto& [table_id, state] : tables_) {
-    Json params = Json::MakeObject();
-    params.Set("table_id", table_id);
-    Result<Json> entry = node_->Query(state.config.contract, "get_entry",
-                                      params, key_.address());
+    Result<Json> entry =
+        QueryEntry(*node_, state.config.contract, table_id, key_.address());
     if (!entry.ok()) {
       // Not registered yet (or the node is still catching up) — nothing
       // to reconcile for this table.
@@ -244,7 +238,7 @@ void Peer::StartFetch(const std::string& table_id, uint64_t version,
   LogIfError(SendToPeer(updater_name, "fetch_request", std::move(request)),
              "peer", "fetch request");
   std::string id = table_id;
-  scheduler_->Schedule(config_.fetch_retry_delay, [this, alive = alive_, id] {
+  scheduler_->Schedule(kFetchRetryDelay, [this, alive = alive_, id] {
     if (*alive) RetryFetch(id);
   });
 }
@@ -285,7 +279,7 @@ void Peer::SetMetrics(metrics::MetricsRegistry* registry) {
   registry_ = registry;
   sync_.set_metrics(registry);
   database_.set_metrics(registry);
-  if (channel_ != nullptr) channel_->set_metrics(registry);
+  channel_->set_metrics(registry);
   if (registry == nullptr) {
     counters_ = StatCounters{};
     return;
@@ -684,7 +678,7 @@ void Peer::RetryFetch(const std::string& table_id) {
   auto it = pending_fetches_.find(table_id);
   if (it == pending_fetches_.end()) return;  // satisfied
   PendingFetch& fetch = it->second;
-  if (++fetch.retries > config_.max_fetch_retries) {
+  if (++fetch.retries > kMaxFetchRetries) {
     Trace(StrCat("giving up fetching '", table_id, "' after ",
                  fetch.retries - 1,
                  " retries; stale until the next catch-up tick"));
@@ -701,7 +695,7 @@ void Peer::RetryFetch(const std::string& table_id) {
   LogIfError(
       SendToPeer(fetch.updater_name, "fetch_request", std::move(request)),
       "peer", "fetch retry");
-  scheduler_->Schedule(config_.fetch_retry_delay,
+  scheduler_->Schedule(kFetchRetryDelay,
                        [this, alive = alive_, table_id] {
                          if (*alive) RetryFetch(table_id);
                        });

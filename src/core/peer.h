@@ -26,20 +26,6 @@ struct PeerConfig {
   /// How affected sibling views are re-materialized (delta push vs full
   /// lens get); see ViewMaintenance.
   ViewMaintenance maintenance = ViewMaintenance::kIncremental;
-  /// Delay before re-sending an unanswered shared-data fetch.
-  Micros fetch_retry_delay = 500 * kMicrosPerMilli;
-  int max_fetch_retries = 20;
-  /// Send peer-to-peer messages through a ReliableChannel (ack/retransmit
-  /// with exponential backoff) instead of raw datagrams. All sharing peers
-  /// of a deployment should agree on this: a reliable sender's envelopes
-  /// are gibberish to a channel-less receiver.
-  bool reliable_delivery = true;
-  net::ReliableChannel::Options reliable;
-  /// How often the peer reconciles against the chain (SyncWithChain): on
-  /// every tick it compares its per-table versions with the contract entry
-  /// and re-fetches anything it missed — the partition-heal / post-restart
-  /// catch-up path. 0 disables the timer.
-  Micros catch_up_interval = 3 * kMicrosPerSecond;
 };
 
 /// A peer's local half of one shared table: where the source and the
@@ -241,10 +227,11 @@ class Peer : public net::Endpoint {
   /// reliable sends remain.
   bool HasPendingWork() const {
     return !staged_.empty() || !pending_fetches_.empty() ||
-           (channel_ != nullptr && channel_->pending() > 0);
+           channel_->pending() > 0;
   }
 
-  /// The reliable delivery layer (nullptr when reliable_delivery is off).
+  /// The reliable delivery layer every peer-to-peer message rides: ack and
+  /// retransmit with seeded exponential backoff (never null).
   net::ReliableChannel* channel() { return channel_.get(); }
 
   struct Stats {
@@ -371,8 +358,7 @@ class Peer : public net::Endpoint {
   void StartFetch(const std::string& table_id, uint64_t version,
                   const std::string& digest, const std::string& updater_name);
 
-  /// Sends a peer-to-peer message through the reliable channel when
-  /// enabled, the raw network otherwise.
+  /// Sends a peer-to-peer message through the reliable channel.
   Status SendToPeer(const std::string& to, const std::string& type,
                     Json payload);
   /// Arms the next catch-up tick (periodic SyncWithChain).

@@ -1,8 +1,11 @@
 #include "core/scenario.h"
 
+#include <utility>
+
 #include "bx/lens_factory.h"
+#include "chain/transaction.h"
 #include "common/strings.h"
-#include "contracts/metadata_contract.h"
+#include "contracts/host.h"
 #include "medical/generator.h"
 #include "medical/records.h"
 #include "relational/query.h"
@@ -17,245 +20,217 @@ using medical::kMedicationName;
 using medical::kModeOfAction;
 using medical::kPatientId;
 using relational::Table;
+using relational::Value;
 
-constexpr char ClinicScenario::kPatientDoctorTable[];
-constexpr char ClinicScenario::kDoctorResearcherTable[];
+namespace {
 
-ClinicScenario::~ClinicScenario() = default;
+constexpr const char* kRoleNames[] = {"doctor", "patient", "researcher",
+                                      "observer"};
 
-Result<std::unique_ptr<ClinicScenario>> ClinicScenario::Create(
-    const ScenarioOptions& options) {
-  auto scenario = std::unique_ptr<ClinicScenario>(new ClinicScenario());
-  scenario->options_ = options;
-  scenario->metrics_ = std::make_unique<metrics::MetricsRegistry>();
-  scenario->tracer_ =
-      std::make_unique<metrics::ProtocolTracer>(scenario->metrics_.get());
-  metrics::MetricsRegistry* registry = scenario->metrics_.get();
-  if (options.worker_threads > 0) {
-    scenario->pool_ =
-        std::make_unique<threading::ThreadPool>(options.worker_threads);
+/// The in-process clinic runs one chain node per peer-hosting role.
+constexpr size_t kClinicNodeCount = 3;
+
+}  // namespace
+
+Result<ClinicRole> ParseClinicRole(std::string_view name) {
+  for (size_t i = 0; i < 4; ++i) {
+    if (name == kRoleNames[i]) return static_cast<ClinicRole>(i);
   }
-  threading::ThreadPool* pool = scenario->pool_.get();
-  scenario->simulator_ = std::make_unique<net::Simulator>(options.epoch);
-  scenario->network_ = std::make_unique<net::SimNetwork>(
-      scenario->simulator_.get(), options.latency, options.seed);
-  scenario->network_->set_metrics(registry);
+  return Status::InvalidArgument(StrCat("unknown clinic role '", name, "'"));
+}
 
-  // --- Chain substrate: PoA authorities, one per node. ---------------------
-  std::vector<crypto::Address> authorities;
-  std::vector<std::shared_ptr<const crypto::KeyPair>> authority_keys;
-  for (size_t i = 0; i < options.chain_node_count; ++i) {
-    auto key = std::make_shared<crypto::KeyPair>(
-        crypto::KeyPair::FromSeed(StrCat("authority-", i)));
-    authorities.push_back(key->address());
-    authority_keys.push_back(std::move(key));
+std::string ClinicRoleName(ClinicRole role) {
+  return kRoleNames[static_cast<size_t>(role)];
+}
+
+void ClinicCast(std::vector<std::string>* names,
+                std::vector<crypto::Address>* addresses) {
+  for (ClinicRole role :
+       {ClinicRole::kDoctor, ClinicRole::kPatient, ClinicRole::kResearcher}) {
+    names->push_back(ClinicRoleName(role));
+    addresses->push_back(crypto::KeyPair::FromSeed(names->back()).address());
   }
-  chain::Block genesis =
-      chain::Blockchain::MakeGenesis(scenario->simulator_->Now());
+}
 
-  for (size_t i = 0; i < options.chain_node_count; ++i) {
-    std::shared_ptr<const chain::Sealer> sealer;
-    if (options.consensus == ConsensusMode::kPoa) {
-      sealer = std::make_shared<chain::PoaSealer>(authorities,
-                                                  authority_keys[i]);
-    } else {
-      auto pow =
-          std::make_shared<chain::PowSealer>(options.pow_difficulty_bits, pool);
-      pow->set_metrics(registry);
-      sealer = std::move(pow);
-    }
-    auto host = std::make_unique<contracts::ContractHost>();
-    host->RegisterType("metadata", contracts::MetadataContract::Create);
-    runtime::NodeConfig node_config;
-    node_config.id = StrCat("chain-node-", i);
-    node_config.block_interval = options.block_interval;
-    node_config.max_block_txs = options.max_block_txs;
-    node_config.sealing_enabled =
-        options.consensus == ConsensusMode::kPoa || i == 0;
-    node_config.pool = pool;
-    node_config.metrics = registry;
-    scenario->nodes_.push_back(std::make_unique<runtime::ChainNode>(
-        node_config, scenario->simulator_.get(), scenario->network_.get(),
-        std::move(sealer), genesis, contracts::SharedDataConflictKey,
-        std::move(host)));
-  }
-  for (auto& node : scenario->nodes_) node->Start();
+crypto::Address ClinicContractAddress() {
+  chain::Transaction deploy;
+  deploy.from = crypto::KeyPair::FromSeed("doctor").address();
+  deploy.nonce = 0;
+  return contracts::ContractHost::DeploymentAddress(deploy);
+}
 
-  // --- Peers. ---------------------------------------------------------------
-  auto make_peer = [&](const std::string& name,
-                       size_t node_index) -> std::unique_ptr<Peer> {
-    PeerConfig config;
-    config.name = name;
-    config.strategy = options.strategy;
-    config.maintenance = options.maintenance;
-    config.reliable_delivery = options.reliable_delivery;
-    config.reliable = options.reliable;
-    config.catch_up_interval = options.peer_catch_up_interval;
-    auto peer = std::make_unique<Peer>(
-        config, scenario->simulator_.get(), scenario->network_.get(),
-        scenario->nodes_[node_index % scenario->nodes_.size()].get());
-    peer->sync().set_thread_pool(pool);
-    peer->SetMetrics(registry);
-    peer->SetProtocolTracer(scenario->tracer_.get());
-    peer->Start();
-    return peer;
-  };
-  scenario->doctor_ = make_peer("doctor", 0);
-  scenario->patient_ = make_peer("patient", 1);
-  scenario->researcher_ = make_peer("researcher", 2);
-
-  Peer& doctor = *scenario->doctor_;
-  Peer& patient = *scenario->patient_;
-  Peer& researcher = *scenario->researcher_;
-  for (Peer* a : {&doctor, &patient, &researcher}) {
-    for (Peer* b : {&doctor, &patient, &researcher}) {
-      if (a != b) a->AddKnownPeer(b->name(), b->address());
-    }
-  }
-
-  // --- Local data (Fig. 1 distribution). ------------------------------------
-  Table full = options.record_count == 0
-                   ? medical::MakeFig1FullRecords()
-                   : medical::GenerateFullRecords(
-                         {options.seed, options.record_count, 1000});
-
+Result<ClinicData> ProjectClinicData(const Table& full) {
+  ClinicData data;
   MEDSYNC_ASSIGN_OR_RETURN(
-      Table d1, relational::Project(
-                    full,
-                    {kPatientId, kMedicationName, kClinicalData, kAddress,
-                     kDosage},
-                    {kPatientId}));
+      data.d1, relational::Project(full,
+                                   {kPatientId, kMedicationName, kClinicalData,
+                                    kAddress, kDosage},
+                                   {kPatientId}));
   MEDSYNC_ASSIGN_OR_RETURN(
-      Table d2,
+      data.d2,
       relational::Project(full,
                           {kMedicationName, kMechanismOfAction, kModeOfAction},
                           {kMedicationName}));
   MEDSYNC_ASSIGN_OR_RETURN(
-      Table d3, relational::Project(
-                    full,
-                    {kPatientId, kMedicationName, kClinicalData,
-                     kMechanismOfAction, kDosage},
-                    {kPatientId}));
-
-  auto install = [](Peer& peer, const std::string& name,
-                    const Table& table) -> Status {
-    MEDSYNC_RETURN_IF_ERROR(
-        peer.database().CreateTable(name, table.schema()));
-    return peer.database().ReplaceTable(name, table);
-  };
-  MEDSYNC_RETURN_IF_ERROR(install(patient, "D1", d1));
-  MEDSYNC_RETURN_IF_ERROR(install(researcher, "D2", d2));
-  MEDSYNC_RETURN_IF_ERROR(install(doctor, "D3", d3));
-
-  // --- Shared views (BX lenses). --------------------------------------------
-  bx::LensPtr lens_pd = bx::MakeProjectLens(
-      {kPatientId, kMedicationName, kClinicalData, kDosage}, {kPatientId});
-  bx::LensPtr lens_dr =
-      bx::MakeProjectLens({kMedicationName, kMechanismOfAction},
-                          {kMedicationName});
-
+      data.d3, relational::Project(full,
+                                   {kPatientId, kMedicationName, kClinicalData,
+                                    kMechanismOfAction, kDosage},
+                                   {kPatientId}));
   MEDSYNC_ASSIGN_OR_RETURN(
-      Table d13, relational::Project(
-                     d1, {kPatientId, kMedicationName, kClinicalData, kDosage},
-                     {kPatientId}));
+      data.d13,
+      relational::Project(
+          data.d1, {kPatientId, kMedicationName, kClinicalData, kDosage},
+          {kPatientId}));
   MEDSYNC_ASSIGN_OR_RETURN(
-      Table d32, relational::Project(d3, {kMedicationName, kMechanismOfAction},
-                                     {kMedicationName}));
-  MEDSYNC_RETURN_IF_ERROR(install(patient, "D13", d13));
-  MEDSYNC_RETURN_IF_ERROR(install(doctor, "D31", d13));
-  MEDSYNC_RETURN_IF_ERROR(install(researcher, "D23", d32));
-  MEDSYNC_RETURN_IF_ERROR(install(doctor, "D32", d32));
+      data.d32,
+      relational::Project(data.d3, {kMedicationName, kMechanismOfAction},
+                          {kMedicationName}));
+  return data;
+}
 
-  // --- Deploy contract + register tables. -----------------------------------
-  MEDSYNC_ASSIGN_OR_RETURN(scenario->contract_,
+namespace {
+
+/// The doctor's bootstrap transactions: the contract deploy, then both
+/// registrations with the Fig. 3 permission matrix.
+Status DeployClinicContract(Peer& doctor,
+                            const std::vector<SharedTableConfig>& shared,
+                            const std::vector<crypto::Address>& cast) {
+  MEDSYNC_ASSIGN_OR_RETURN(crypto::Address deployed,
                            doctor.DeployMetadataContract());
-  const crypto::Address& contract = scenario->contract_;
-
-  SharedTableConfig patient_cfg{ClinicScenario::kPatientDoctorTable, "D1",
-                                "D13", lens_pd, contract};
-  SharedTableConfig doctor_pd_cfg{ClinicScenario::kPatientDoctorTable, "D3",
-                                  "D31", lens_pd, contract};
-  SharedTableConfig doctor_dr_cfg{ClinicScenario::kDoctorResearcherTable,
-                                  "D3", "D32", lens_dr, contract};
-  SharedTableConfig researcher_cfg{ClinicScenario::kDoctorResearcherTable,
-                                   "D2", "D23", lens_dr, contract};
-  MEDSYNC_RETURN_IF_ERROR(patient.AdoptSharedTable(patient_cfg));
-  MEDSYNC_RETURN_IF_ERROR(doctor.AdoptSharedTable(doctor_pd_cfg));
-  MEDSYNC_RETURN_IF_ERROR(doctor.AdoptSharedTable(doctor_dr_cfg));
-  MEDSYNC_RETURN_IF_ERROR(researcher.AdoptSharedTable(researcher_cfg));
-
+  if (deployed.ToHex() != shared[0].contract.ToHex()) {
+    return Status::Internal(
+        StrCat("deployed contract address ", deployed.ToHex(), " != derived ",
+               shared[0].contract.ToHex(),
+               " (deploy must be the doctor's first transaction)"));
+  }
+  const crypto::Address& d = cast[0];
+  const crypto::Address& p = cast[1];
+  const crypto::Address& r = cast[2];
   // Fig. 3 permission matrix:
   //   D13&D31 — medication name & dosage writable by Doctor; clinical data
   //             by Patient and Doctor; authority Doctor.
   //   D23&D32 — medication name writable by Doctor and Researcher;
   //             mechanism of action by Researcher; authority Researcher.
-  MEDSYNC_RETURN_IF_ERROR(
-      doctor
-          .RegisterSharedTableOnChain(
-              doctor_pd_cfg, {patient.address(), doctor.address()},
-              {{kMedicationName, {doctor.address()}},
-               {kDosage, {doctor.address()}},
-               {kClinicalData, {patient.address(), doctor.address()}}},
-              {doctor.address()}, doctor.address())
-          .status());
-  MEDSYNC_RETURN_IF_ERROR(
-      doctor
-          .RegisterSharedTableOnChain(
-              doctor_dr_cfg, {doctor.address(), researcher.address()},
-              {{kMedicationName, {doctor.address(), researcher.address()}},
-               {kMechanismOfAction, {researcher.address()}}},
-              {doctor.address()}, researcher.address())
-          .status());
+  MEDSYNC_RETURN_IF_ERROR(doctor
+                              .RegisterSharedTableOnChain(
+                                  shared[0], {p, d},
+                                  {{kMedicationName, {d}},
+                                   {kDosage, {d}},
+                                   {kClinicalData, {p, d}}},
+                                  {d}, d)
+                              .status());
+  return doctor
+      .RegisterSharedTableOnChain(shared[1], {d, r},
+                                  {{kMedicationName, {d, r}},
+                                   {kMechanismOfAction, {r}}},
+                                  {d}, r)
+      .status();
+}
 
-  MEDSYNC_RETURN_IF_ERROR(scenario->SettleAll());
+}  // namespace
 
-  // The registrations must actually be on-chain.
-  MEDSYNC_RETURN_IF_ERROR(
-      scenario->Entry(ClinicScenario::kPatientDoctorTable).status());
-  MEDSYNC_RETURN_IF_ERROR(
-      scenario->Entry(ClinicScenario::kDoctorResearcherTable).status());
+Result<std::vector<SharedTableConfig>> SetupClinicPeer(Peer& peer,
+                                                       ClinicRole role,
+                                                       const ClinicData& data) {
+  const bx::LensPtr lens_pd = bx::MakeProjectLens(
+      {kPatientId, kMedicationName, kClinicalData, kDosage}, {kPatientId});
+  const bx::LensPtr lens_dr = bx::MakeProjectLens(
+      {kMedicationName, kMechanismOfAction}, {kMedicationName});
+  constexpr const char* kPD = ClinicScenario::kPatientDoctorTable;
+  constexpr const char* kDR = ClinicScenario::kDoctorResearcherTable;
+  const crypto::Address contract = ClinicContractAddress();
+  std::vector<std::string> names;
+  std::vector<crypto::Address> addresses;
+  ClinicCast(&names, &addresses);
+  IntroducePeers(peer, names, addresses);
 
-  // Only the steady-state protocol runs under loss.
-  scenario->network_->set_drop_probability(options.drop_probability);
+  // (local table, initial content) pairs, sources first.
+  std::vector<std::pair<const char*, const Table*>> tables;
+  std::vector<SharedTableConfig> shared;
+  switch (role) {
+    case ClinicRole::kDoctor:
+      tables = {{"D3", &data.d3}, {"D31", &data.d13}, {"D32", &data.d32}};
+      shared = {{kPD, "D3", "D31", lens_pd, contract},
+                {kDR, "D3", "D32", lens_dr, contract}};
+      break;
+    case ClinicRole::kPatient:
+      tables = {{"D1", &data.d1}, {"D13", &data.d13}};
+      shared = {{kPD, "D1", "D13", lens_pd, contract}};
+      break;
+    case ClinicRole::kResearcher:
+      tables = {{"D2", &data.d2}, {"D23", &data.d32}};
+      shared = {{kDR, "D2", "D23", lens_dr, contract}};
+      break;
+    case ClinicRole::kObserver:
+      break;
+  }
+  for (const auto& [name, table] : tables) {
+    MEDSYNC_RETURN_IF_ERROR(InstallTable(peer, name, *table));
+  }
+  for (const SharedTableConfig& config : shared) {
+    MEDSYNC_RETURN_IF_ERROR(peer.AdoptSharedTable(config));
+  }
+  if (role == ClinicRole::kDoctor) {
+    MEDSYNC_RETURN_IF_ERROR(DeployClinicContract(peer, shared, addresses));
+  }
+  return shared;
+}
+
+Status Fig5ResearcherUpdate(Peer& researcher) {
+  return researcher.UpdateSourceAndPropagate(
+      "D2", [](relational::Database* db) {
+        return db->UpdateAttribute("D2", {Value::String("Ibuprofen")},
+                                   kMechanismOfAction,
+                                   Value::String("MeA1-new"));
+      });
+}
+
+Status Fig5DoctorUpdate(Peer& doctor) {
+  return doctor.UpdateSharedAttribute(ClinicScenario::kPatientDoctorTable,
+                                      {Value::Int(188)}, kDosage,
+                                      Value::String("one tablet every 6h"));
+}
+
+Result<std::unique_ptr<ClinicScenario>> ClinicScenario::Create(
+    const ScenarioOptions& options) {
+  auto scenario = std::unique_ptr<ClinicScenario>(new ClinicScenario());
+  runtime::NodeDaemonOptions node;
+  node.sealing = options.consensus == ConsensusMode::kPoa
+                     ? runtime::Sealing::kPoaHeight
+                     : runtime::Sealing::kPow;
+  node.node.block_interval = options.block_interval;
+  scenario->BuildPlane(options.seed, SimClock::kDefaultEpoch,
+                       net::LatencyModel(), options.worker_threads,
+                       kClinicNodeCount, std::move(node));
+  scenario->table_ids_ = {kPatientDoctorTable, kDoctorResearcherTable};
+  scenario->contract_ = ClinicContractAddress();
+
+  // --- Peers: doctor, patient, researcher on nodes 0, 1, 2. ----------------
+  ClinicCast(&scenario->names_, &scenario->addresses_);
+  for (size_t i = 0; i < scenario->names_.size(); ++i) {
+    scenario->peers_.push_back(
+        scenario->MakePeer({.name = scenario->names_[i],
+                            .strategy = options.strategy,
+                            .maintenance = options.maintenance},
+                           i));
+    scenario->peers_.back()->Start();
+  }
+
+  // --- Local data (Fig. 1 distribution), projected once for all roles. -----
+  MEDSYNC_ASSIGN_OR_RETURN(
+      ClinicData data,
+      ProjectClinicData(options.record_count == 0
+                            ? medical::MakeFig1FullRecords()
+                            : medical::GenerateFullRecords(
+                                  {options.seed, options.record_count, 1000})));
+  for (size_t i = 0; i < scenario->peers_.size(); ++i) {
+    MEDSYNC_RETURN_IF_ERROR(SetupClinicPeer(*scenario->peers_[i],
+                                            static_cast<ClinicRole>(i), data)
+                                .status());
+  }
+  MEDSYNC_RETURN_IF_ERROR(
+      scenario->FinishBootstrap(options.drop_probability));
   return scenario;
-}
-
-bool ClinicScenario::Quiescent() const {
-  for (const auto& node : nodes_) {
-    if (!node->mempool().empty()) return false;
-  }
-  for (const Peer* peer :
-       {doctor_.get(), patient_.get(), researcher_.get()}) {
-    if (peer->HasPendingWork()) return false;
-  }
-  return true;
-}
-
-Status ClinicScenario::SettleAll(Micros timeout) {
-  Micros deadline = simulator_->Now() + timeout;
-  while (simulator_->Now() < deadline) {
-    simulator_->RunFor(options_.block_interval);
-    if (!Quiescent()) continue;
-    // Quiescent locally; also require no outstanding acks on-chain.
-    bool acks_clear = true;
-    for (const char* table_id :
-         {kPatientDoctorTable, kDoctorResearcherTable}) {
-      Result<Json> entry = Entry(table_id);
-      if (!entry.ok()) continue;  // not registered yet — treat as clear
-      if (entry->At("pending_acks").size() > 0) {
-        acks_clear = false;
-        break;
-      }
-    }
-    if (acks_clear) return Status::OK();
-  }
-  return Status::Timeout("scenario did not quiesce in time");
-}
-
-Result<Json> ClinicScenario::Entry(const std::string& table_id) {
-  Json params = Json::MakeObject();
-  params.Set("table_id", table_id);
-  return nodes_[0]->Query(contract_, "get_entry", params, doctor_->address());
 }
 
 }  // namespace medsync::core

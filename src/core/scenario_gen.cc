@@ -421,95 +421,56 @@ GeneratedScenario::~GeneratedScenario() {
 
 Result<std::unique_ptr<GeneratedScenario>> GeneratedScenario::Create(
     const GenOptions& options) {
-  return CreateFromSpec(DescribeNetwork(options));
-}
-
-Result<std::unique_ptr<GeneratedScenario>> GeneratedScenario::CreateFromSpec(
-    NetworkSpec spec) {
-  MEDSYNC_RETURN_IF_ERROR(ValidateSpec(spec));
   auto scenario = std::unique_ptr<GeneratedScenario>(new GeneratedScenario());
-  scenario->spec_ = std::move(spec);
+  scenario->spec_ = DescribeNetwork(options);
+  MEDSYNC_RETURN_IF_ERROR(ValidateSpec(scenario->spec_));
   FaultInjector::Install(&scenario->injector_);
   MEDSYNC_RETURN_IF_ERROR(scenario->Bootstrap());
   return scenario;
 }
 
-std::string GeneratedScenario::DurableDir(size_t i) const {
-  return StrCat(spec_.options.durable_root, "/", spec_.peers[i].name);
-}
-
 Result<std::unique_ptr<Peer>> GeneratedScenario::MakePeerObject(size_t i) {
   const PeerSpec& spec = spec_.peers[i];
-  PeerConfig config;
-  config.name = spec.name;
-  auto peer = std::make_unique<Peer>(
-      config, simulator_.get(), network_.get(),
-      nodes_[spec.trusted_node % nodes_.size()].get());
-  peer->sync().set_thread_pool(pool_.get());
-  // Metrics before durable storage so the WAL re-attaches to the registry.
-  peer->SetMetrics(metrics_.get());
-  peer->SetProtocolTracer(tracer_.get());
+  std::unique_ptr<Peer> peer = MakePeer({.name = spec.name}, spec.trusted_node);
   if (spec.durable) {
-    MEDSYNC_RETURN_IF_ERROR(peer->UseDurableStorage(DurableDir(i)));
+    MEDSYNC_RETURN_IF_ERROR(peer->UseDurableStorage(
+        StrCat(spec_.options.durable_root, "/", spec.name)));
   }
   peer->sync().set_check_bx_laws(spec_.options.check_bx_laws);
   peer->Start();
   return peer;
 }
 
+SharedTableConfig GeneratedScenario::SideOf(const SharedTableSpec& table,
+                                            size_t i, bx::LensPtr lens) const {
+  if (table.consumer == i) {
+    return {table.table_id, table.consumer_source_table,
+            table.consumer_view_table, std::move(lens), contract_};
+  }
+  return {table.table_id, spec_.peers[i].source_table,
+          table.provider_view_table, std::move(lens), contract_};
+}
+
 Status GeneratedScenario::Bootstrap() {
   const GenOptions& options = spec_.options;
-  metrics_ = std::make_unique<metrics::MetricsRegistry>();
-  tracer_ = std::make_unique<metrics::ProtocolTracer>(metrics_.get());
-  if (options.worker_threads > 0) {
-    pool_ = std::make_unique<threading::ThreadPool>(options.worker_threads);
+  runtime::NodeDaemonOptions node;
+  node.sealing = runtime::Sealing::kPoaSlot;
+  node.node.block_interval = options.block_interval;
+  node.node.max_block_txs = options.max_block_txs;
+  node.node.lane_count = options.lane_count;
+  node.node.lane_key = contracts::SharedDataLaneKey;
+  BuildPlane(options.seed, spec_.epoch, options.latency,
+             options.worker_threads, options.chain_node_count,
+             std::move(node));
+  for (const SharedTableSpec& table : spec_.tables) {
+    table_ids_.push_back(table.table_id);
   }
-  simulator_ = std::make_unique<net::Simulator>(spec_.epoch);
-  network_ = std::make_unique<net::SimNetwork>(simulator_.get(), options.latency,
-                                            options.seed);
-  network_->set_metrics(metrics_.get());
-
-  // --- Chain substrate: PoA authorities, one per node. ---------------------
-  std::vector<crypto::Address> authorities;
-  std::vector<std::shared_ptr<const crypto::KeyPair>> authority_keys;
-  for (size_t i = 0; i < options.chain_node_count; ++i) {
-    auto key = std::make_shared<crypto::KeyPair>(
-        crypto::KeyPair::FromSeed(StrCat("authority-", i)));
-    authorities.push_back(key->address());
-    authority_keys.push_back(std::move(key));
-  }
-  chain::Block genesis = chain::Blockchain::MakeGenesis(simulator_->Now());
-  for (size_t i = 0; i < options.chain_node_count; ++i) {
-    auto host = std::make_unique<contracts::ContractHost>();
-    host->RegisterType("metadata", contracts::MetadataContract::Create);
-    runtime::NodeConfig node_config;
-    node_config.id = StrCat("chain-node-", i);
-    node_config.block_interval = options.block_interval;
-    node_config.max_block_txs = options.max_block_txs;
-    node_config.sealing_enabled = true;
-    node_config.lane_count = options.lane_count;
-    node_config.lane_key = contracts::SharedDataLaneKey;
-    node_config.pool = pool_.get();
-    node_config.metrics = metrics_.get();
-    all_node_ids_.push_back(node_config.id);
-    // Slot-rotation PoA (slot = block_interval): one authority owns every
-    // lane per tick, and WHICH node seals at a given instant is a function
-    // of time alone — so block production timing is invariant across lane
-    // counts, the property LaneInvariantFingerprint depends on.
-    nodes_.push_back(std::make_unique<runtime::ChainNode>(
-        std::move(node_config), simulator_.get(), network_.get(),
-        std::make_shared<chain::PoaSealer>(authorities, authority_keys[i],
-                                           options.block_interval),
-        genesis, contracts::SharedDataConflictKey, std::move(host)));
-  }
-  for (auto& node : nodes_) node->Start();
 
   // --- Peers. ---------------------------------------------------------------
   const size_t peer_count = spec_.peers.size();
-  addresses_.reserve(peer_count);
   for (const PeerSpec& peer : spec_.peers) {
+    names_.push_back(peer.name);
     addresses_.push_back(crypto::KeyPair::FromSeed(peer.name).address());
-    all_node_ids_.push_back(peer.name);
   }
   isolated_.assign(peer_count, false);
   if (!options.durable_root.empty()) {
@@ -522,11 +483,7 @@ Status GeneratedScenario::Bootstrap() {
   for (size_t i = 0; i < peer_count; ++i) {
     MEDSYNC_ASSIGN_OR_RETURN(peers_[i], MakePeerObject(i));
   }
-  for (size_t i = 0; i < peer_count; ++i) {
-    for (size_t j = 0; j < peer_count; ++j) {
-      if (i != j) peers_[i]->AddKnownPeer(spec_.peers[j].name, addresses_[j]);
-    }
-  }
+  for (auto& peer : peers_) IntroducePeers(*peer, names_, addresses_);
 
   // --- Local data: one global record pool, remapped onto the providers'
   // (gapped) id slices, then sliced per provider. ---------------------------
@@ -552,11 +509,6 @@ Status GeneratedScenario::Bootstrap() {
     MEDSYNC_RETURN_IF_ERROR(remapped.Insert(std::move(moved)));
   }
 
-  auto install = [](Peer& peer, const std::string& name,
-                    const Table& table) -> Status {
-    MEDSYNC_RETURN_IF_ERROR(peer.database().CreateTable(name, table.schema()));
-    return peer.database().ReplaceTable(name, table);
-  };
   auto range_predicate = [](int64_t lo, int64_t hi) {
     return Predicate::And(
         Predicate::Compare(kPatientId, CompareOp::kGe, Value::Int(lo)),
@@ -571,8 +523,8 @@ Status GeneratedScenario::Bootstrap() {
         provider_slices[peer.index],
         relational::Select(remapped,
                            range_predicate(peer.id_begin, slice_end)));
-    MEDSYNC_RETURN_IF_ERROR(install(*peers_[peer.index], peer.source_table,
-                                    provider_slices[peer.index]));
+    MEDSYNC_RETURN_IF_ERROR(InstallTable(*peers_[peer.index], peer.source_table,
+                                         provider_slices[peer.index]));
   }
 
   // --- Shared tables: provider view, consumer source + view (both sides of
@@ -602,11 +554,11 @@ Status GeneratedScenario::Bootstrap() {
           StrCat(table.table_id, ": generated initial views disagree"));
     }
     MEDSYNC_RETURN_IF_ERROR(
-        install(provider, table.provider_view_table, provider_view));
+        InstallTable(provider, table.provider_view_table, provider_view));
     MEDSYNC_RETURN_IF_ERROR(
-        install(consumer, table.consumer_source_table, consumer_source));
+        InstallTable(consumer, table.consumer_source_table, consumer_source));
     MEDSYNC_RETURN_IF_ERROR(
-        install(consumer, table.consumer_view_table, consumer_view));
+        InstallTable(consumer, table.consumer_view_table, consumer_view));
     lenses.push_back(std::move(lens));
   }
 
@@ -621,13 +573,10 @@ Status GeneratedScenario::Bootstrap() {
     const SharedTableSpec& table = spec_.tables[t];
     Peer& provider = *peers_[table.provider];
     Peer& consumer = *peers_[table.consumer];
-    SharedTableConfig provider_cfg{
-        table.table_id, spec_.peers[table.provider].source_table,
-        table.provider_view_table, lenses[t], contract_};
-    SharedTableConfig consumer_cfg{table.table_id,
-                                   table.consumer_source_table,
-                                   table.consumer_view_table, lenses[t],
-                                   contract_};
+    const SharedTableConfig provider_cfg =
+        SideOf(table, table.provider, lenses[t]);
+    const SharedTableConfig consumer_cfg =
+        SideOf(table, table.consumer, lenses[t]);
     MEDSYNC_RETURN_IF_ERROR(provider.AdoptSharedTable(provider_cfg));
     MEDSYNC_RETURN_IF_ERROR(consumer.AdoptSharedTable(consumer_cfg));
     // The provider may write every view attribute (cascade liveness: its
@@ -651,49 +600,7 @@ Status GeneratedScenario::Bootstrap() {
             .status());
   }
 
-  MEDSYNC_RETURN_IF_ERROR(SettleAll());
-  // Every registration must actually be on-chain.
-  for (const SharedTableSpec& table : spec_.tables) {
-    MEDSYNC_RETURN_IF_ERROR(Entry(table.table_id).status());
-  }
-  // Only the steady-state protocol runs under loss.
-  network_->set_drop_probability(options.drop_probability);
-  return Status::OK();
-}
-
-bool GeneratedScenario::Quiescent() const {
-  for (const auto& node : nodes_) {
-    if (!node->mempools_empty()) return false;
-  }
-  for (const auto& peer : peers_) {
-    if (peer != nullptr && peer->HasPendingWork()) return false;
-  }
-  return true;
-}
-
-Status GeneratedScenario::SettleAll(Micros timeout) {
-  const Micros deadline = simulator_->Now() + timeout;
-  while (simulator_->Now() < deadline) {
-    simulator_->RunFor(spec_.options.block_interval);
-    if (!Quiescent()) continue;
-    bool acks_clear = true;
-    for (const SharedTableSpec& table : spec_.tables) {
-      Result<Json> entry = Entry(table.table_id);
-      if (!entry.ok()) continue;  // not registered yet — treat as clear
-      if (entry->At("pending_acks").size() > 0) {
-        acks_clear = false;
-        break;
-      }
-    }
-    if (acks_clear) return Status::OK();
-  }
-  return Status::Timeout("generated scenario did not quiesce in time");
-}
-
-Result<Json> GeneratedScenario::Entry(const std::string& table_id) {
-  Json params = Json::MakeObject();
-  params.Set("table_id", table_id);
-  return nodes_[0]->Query(contract_, "get_entry", params, addresses_[0]);
+  return FinishBootstrap(options.drop_probability);
 }
 
 Status GeneratedScenario::CrashPeer(size_t i, bool torn_tail) {
@@ -718,9 +625,7 @@ Status GeneratedScenario::CrashPeer(size_t i, bool torn_tail) {
     // then crash. Restart recovery has to truncate a genuine torn record.
     for (size_t t : spec_.TablesOf(i)) {
       const SharedTableSpec& table = spec_.tables[t];
-      const std::string& source = table.consumer == i
-                                      ? table.consumer_source_table
-                                      : spec.source_table;
+      const std::string source = SideOf(table, i, nullptr).source_table;
       MEDSYNC_ASSIGN_OR_RETURN(Table snapshot,
                                peers_[i]->database().Snapshot(source));
       if (snapshot.empty()) continue;
@@ -750,74 +655,52 @@ Status GeneratedScenario::RestartPeer(size_t i) {
     return Status::FailedPrecondition(StrCat(spec.name, " is already up"));
   }
   MEDSYNC_ASSIGN_OR_RETURN(std::unique_ptr<Peer> peer, MakePeerObject(i));
-  for (size_t j = 0; j < peers_.size(); ++j) {
-    if (i != j) peer->AddKnownPeer(spec_.peers[j].name, addresses_[j]);
-  }
+  IntroducePeers(*peer, names_, addresses_);
   for (size_t t : spec_.TablesOf(i)) {
     const SharedTableSpec& table = spec_.tables[t];
-    SharedTableConfig config =
-        table.consumer == i
-            ? SharedTableConfig{table.table_id, table.consumer_source_table,
-                                table.consumer_view_table, table.MakeLens(),
-                                contract_}
-            : SharedTableConfig{table.table_id, spec.source_table,
-                                table.provider_view_table, table.MakeLens(),
-                                contract_};
-    MEDSYNC_RETURN_IF_ERROR(peer->AdoptSharedTable(config));
+    MEDSYNC_RETURN_IF_ERROR(
+        peer->AdoptSharedTable(SideOf(table, i, table.MakeLens())));
   }
   peers_[i] = std::move(peer);
   return peers_[i]->SyncWithChain().status();
 }
 
 void GeneratedScenario::IsolatePeer(size_t i, bool isolated) {
-  const std::string& name = spec_.peers[i].name;
-  for (const std::string& id : all_node_ids_) {
-    if (id != name) network_->SetLinkDown(name, id, isolated);
+  const std::string& name = names_[i];
+  for (size_t n = 0; n < node_count(); ++n) {
+    network_->SetLinkDown(name, node(n).config().id, isolated);
+  }
+  for (const std::string& other : names_) {
+    if (other != name) network_->SetLinkDown(name, other, isolated);
   }
   isolated_[i] = isolated;
 }
 
-std::string GeneratedScenario::Fingerprint() const {
-  crypto::Sha256 hash;
-  hash.Update(StrCat("now=", simulator_->Now(), "\n"));
-  for (const auto& node : nodes_) {
-    for (size_t l = 0; l < node->lane_count(); ++l) {
-      hash.Update(node->blockchain(l).head().header.Hash().ToHex());
-    }
-    hash.Update(node->host().StateFingerprint());
-  }
-  for (size_t i = 0; i < peers_.size(); ++i) {
-    hash.Update(spec_.peers[i].name);
-    if (peers_[i] == nullptr) {
-      hash.Update("|down\n");
-      continue;
-    }
-    for (const std::string& table : peers_[i]->database().TableNames()) {
-      Result<Table> snapshot = peers_[i]->database().Snapshot(table);
-      hash.Update(StrCat("|", table, "=",
-                         snapshot.ok() ? snapshot->ContentDigest() : "?"));
-    }
-    hash.Update("\n");
-  }
-  hash.Update(metrics_->Snapshot().Dump());
-  for (const std::string& visit : injector_.visits()) hash.Update(visit);
-  return hash.Finish().ToHex();
-}
+std::string GeneratedScenario::Fingerprint() const { return Digest(false); }
 
 std::string GeneratedScenario::LaneInvariantFingerprint() const {
-  // What the network COMPUTED, not how the chain partitioned it: contract
-  // state and peer tables converge to the same bytes at any lane count
-  // (per-table ordering is lane-confined; slot PoA keeps block timing lane-
-  // independent), while block hashes, per-message accounting, and receipt
-  // ids do not. Injector visits are sorted because lane-parallel sealing
-  // may reorder when storage fault points fire within one tick.
+  return Digest(true);
+}
+
+std::string GeneratedScenario::Digest(bool lane_invariant) const {
+  // The lane-invariant digest keeps what the network COMPUTED, not how the
+  // chain partitioned it: contract state and peer tables converge to the
+  // same bytes at any lane count (per-table ordering is lane-confined; slot
+  // PoA keeps block timing lane-independent), while block hashes,
+  // per-message accounting, and receipt ids do not. Injector visits are
+  // sorted because lane-parallel sealing may reorder when storage fault
+  // points fire within one tick.
   crypto::Sha256 hash;
   hash.Update(StrCat("now=", simulator_->Now(), "\n"));
-  for (const auto& node : nodes_) {
-    hash.Update(node->host().StateFingerprint());
+  for (const auto& daemon : nodes_) {
+    runtime::ChainNode& node = daemon->node();
+    for (size_t l = 0; !lane_invariant && l < node.lane_count(); ++l) {
+      hash.Update(node.blockchain(l).head().header.Hash().ToHex());
+    }
+    hash.Update(node.host().StateFingerprint());
   }
   for (size_t i = 0; i < peers_.size(); ++i) {
-    hash.Update(spec_.peers[i].name);
+    hash.Update(names_[i]);
     if (peers_[i] == nullptr) {
       hash.Update("|down\n");
       continue;
@@ -829,8 +712,9 @@ std::string GeneratedScenario::LaneInvariantFingerprint() const {
     }
     hash.Update("\n");
   }
+  if (!lane_invariant) hash.Update(metrics_->Snapshot().Dump());
   std::vector<std::string> visits = injector_.visits();
-  std::sort(visits.begin(), visits.end());
+  if (lane_invariant) std::sort(visits.begin(), visits.end());
   for (const std::string& visit : visits) hash.Update(visit);
   return hash.Finish().ToHex();
 }
@@ -865,7 +749,7 @@ Status GeneratedScenario::VerifyConverged() {
                  provider_state.version, " vs ", consumer_state.version, ")"));
     }
     MEDSYNC_ASSIGN_OR_RETURN(Json entry, Entry(table.table_id));
-    if (entry.At("pending_acks").size() > 0) {
+    if (AwaitsAcks(entry)) {
       return Status::FailedPrecondition(
           StrCat(table.table_id, ": outstanding acks"));
     }
@@ -881,9 +765,9 @@ Status GeneratedScenario::VerifyAuditGapless() {
     // the audit walk reads exactly that lane's canonical chain.
     const uint32_t lane = chain::LaneForKey(
         StrCat(contract_.ToHex(), "/", table.table_id),
-        nodes_[0]->lane_count());
+        node(0).lane_count());
     const std::vector<AuditRecord> trail = BuildAuditTrail(
-        nodes_[0]->blockchain(lane), nodes_[0]->host(), table.table_id);
+        node(0).blockchain(lane), node(0).host(), table.table_id);
     int64_t updates = 0;
     int64_t acks = 0;
     for (const AuditRecord& record : trail) {

@@ -7,11 +7,9 @@
 #include <vector>
 
 #include "common/fault_injector.h"
-#include "common/threading/thread_pool.h"
+#include "core/deployment.h"
 #include "core/peer.h"
 #include "net/network.h"
-#include "net/simulator.h"
-#include "runtime/chain_node.h"
 
 namespace medsync::core {
 
@@ -158,20 +156,14 @@ Status ValidateSpec(const NetworkSpec& spec);
 /// Installs a process-wide FaultInjector for its lifetime (crash events
 /// exercise torn-tail WAL recovery through it), so keep at most one
 /// GeneratedScenario alive at a time.
-class GeneratedScenario {
+class GeneratedScenario : public SimDeployment {
  public:
   static Result<std::unique_ptr<GeneratedScenario>> Create(
       const GenOptions& options);
-  static Result<std::unique_ptr<GeneratedScenario>> CreateFromSpec(
-      NetworkSpec spec);
 
   ~GeneratedScenario();
 
   const NetworkSpec& spec() const { return spec_; }
-  net::Simulator& simulator() { return *simulator_; }
-  net::SimNetwork& network() { return *network_; }
-  runtime::ChainNode& node(size_t i) { return *nodes_[i]; }
-  size_t node_count() const { return nodes_.size(); }
   size_t peer_count() const { return peers_.size(); }
   /// nullptr while the peer is crashed.
   Peer* peer(size_t i) { return peers_[i].get(); }
@@ -180,21 +172,9 @@ class GeneratedScenario {
   const crypto::Address& peer_address(size_t i) const {
     return addresses_[i];
   }
-  const crypto::Address& contract() const { return contract_; }
-  metrics::MetricsRegistry& metrics() { return *metrics_; }
-  Json MetricsSnapshot() const { return metrics_->Snapshot(); }
-  FaultInjector& injector() { return injector_; }
 
   /// Advances simulated time by `duration`.
   void RunFor(Micros duration) { simulator_->RunFor(duration); }
-
-  /// Runs until every mempool is empty, every live peer is idle, and no
-  /// table has outstanding acks (crashed peers keep acks outstanding —
-  /// restart them first).
-  Status SettleAll(Micros timeout = 600 * kMicrosPerSecond);
-
-  /// The contract's metadata entry for `table_id` (via node 0).
-  Result<Json> Entry(const std::string& table_id);
 
   // -- Adversity controls ---------------------------------------------------
 
@@ -244,22 +224,14 @@ class GeneratedScenario {
 
   Status Bootstrap();
   Result<std::unique_ptr<Peer>> MakePeerObject(size_t i);
-  std::string DurableDir(size_t i) const;
-  bool Quiescent() const;
+  /// Peer `i`'s local half of `table` (`i` is its provider or consumer).
+  SharedTableConfig SideOf(const SharedTableSpec& table, size_t i,
+                           bx::LensPtr lens) const;
+  std::string Digest(bool lane_invariant) const;
 
   NetworkSpec spec_;
   FaultInjector injector_;
-  std::unique_ptr<metrics::MetricsRegistry> metrics_;
-  std::unique_ptr<metrics::ProtocolTracer> tracer_;
-  std::unique_ptr<threading::ThreadPool> pool_;
-  std::unique_ptr<net::Simulator> simulator_;
-  std::unique_ptr<net::SimNetwork> network_;
-  std::vector<std::unique_ptr<runtime::ChainNode>> nodes_;
-  std::vector<std::unique_ptr<Peer>> peers_;  // null while crashed
-  std::vector<crypto::Address> addresses_;
   std::vector<bool> isolated_;
-  std::vector<std::string> all_node_ids_;  // chain nodes + peer names
-  crypto::Address contract_;
 };
 
 }  // namespace medsync::core

@@ -55,8 +55,7 @@ Result<Wal> Wal::Open(std::string path, std::vector<WalRecord>* recovered,
         needs_truncate = true;
         break;
       }
-      // Parse "<crc-hex> <len> <body>" where body is "<lsn> <payload>"
-      // (current format) or bare "<payload>" (legacy, pre-LSN files).
+      // Parse "<crc-hex> <len> <body>" where body is "<lsn> <payload>".
       size_t sp1 = line.find(' ');
       size_t sp2 = (sp1 == std::string::npos) ? std::string::npos
                                               : line.find(' ', sp1 + 1);
@@ -80,25 +79,22 @@ Result<Wal> Wal::Open(std::string path, std::vector<WalRecord>* recovered,
         corrupt("checksum mismatch");
         break;
       }
-      // A JSON payload never starts with a digit, so an LSN prefix is
-      // unambiguous.
-      uint64_t lsn = 0;
-      std::string payload;
-      size_t body_sp = line.npos;
-      if (!body.empty() && body[0] >= '0' && body[0] <= '9' &&
-          (body_sp = body.find(' ')) != std::string::npos) {
-        std::string lsn_str = body.substr(0, body_sp);
-        end = nullptr;
-        lsn = std::strtoull(lsn_str.c_str(), &end, 10);
-        if (end != lsn_str.c_str() + lsn_str.size()) {
-          corrupt("unparseable LSN");
-          break;
-        }
-        payload = body.substr(body_sp + 1);
-      } else {
-        lsn = next_lsn;  // legacy record: assign sequentially
-        payload = std::move(body);
+      // A JSON payload never starts with a digit, so a record whose body
+      // does not open with "<digits> " has no LSN and is corrupt.
+      const size_t body_sp = body.find(' ');
+      if (body.empty() || body[0] < '0' || body[0] > '9' ||
+          body_sp == std::string::npos) {
+        corrupt("missing LSN");
+        break;
       }
+      std::string lsn_str = body.substr(0, body_sp);
+      end = nullptr;
+      const uint64_t lsn = std::strtoull(lsn_str.c_str(), &end, 10);
+      if (end != lsn_str.c_str() + lsn_str.size()) {
+        corrupt("unparseable LSN");
+        break;
+      }
+      std::string payload = body.substr(body_sp + 1);
       if (lsn < next_lsn) {
         // LSNs must be strictly increasing; a regression means corruption.
         corrupt("LSN regression");

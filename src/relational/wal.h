@@ -24,9 +24,8 @@ struct WalRecord {
 /// Record wire format (one record per line):
 ///   <crc32-hex-8> <length-decimal> <lsn-decimal> <json-payload>\n
 /// The checksum and length cover `<lsn-decimal> <json-payload>`, so a
-/// corrupted LSN is caught like any other corruption. Legacy records
-/// without the LSN field (`<crc> <len> <json>`) are still recovered, with
-/// LSNs assigned sequentially. Recovery reads records until EOF; only a
+/// corrupted LSN is caught like any other corruption, and a record without
+/// one is refused. Recovery reads records until EOF; only a
 /// torn tail — a final record missing its '\n' terminator, the signature of
 /// an interrupted append — is truncated away. A complete line that fails
 /// the checksum, length, or LSN monotonicity check is bit rot, and Open

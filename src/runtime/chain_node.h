@@ -132,8 +132,6 @@ class ChainNode : public net::Endpoint {
   const chain::Mempool& mempool(size_t lane) const {
     return lanes_[lane]->mempool;
   }
-  /// Pooled transactions across every lane partition.
-  size_t mempool_total_size() const;
   /// True when every lane's mempool partition is empty.
   bool mempools_empty() const;
   const NodeConfig& config() const { return config_; }

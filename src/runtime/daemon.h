@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/metrics/metrics.h"
 #include "crypto/keys.h"
 #include "net/network.h"
 #include "net/scheduler.h"
@@ -14,47 +13,54 @@
 
 namespace medsync::runtime {
 
-/// Options for hosting one ChainNode as (part of) an OS process.
-///
-/// Every process of a deployment must agree on `authority_count`,
-/// `genesis_timestamp`, `block_interval`, and `max_block_txs` — they
-/// determine the authority set, the genesis block, and sealing cadence.
-/// Identities are deterministic (authority-i key seeds), so processes
-/// bootstrap independently with no coordination service: the static route
-/// map of the socket transport is the only shared configuration.
-struct NodeDaemonOptions {
-  /// This process's index in the authority set (node id "chain-node-<i>").
-  size_t node_index = 0;
-  size_t authority_count = 4;
-  Micros block_interval = 500 * kMicrosPerMilli;
-  size_t max_block_txs = 100;
-  /// Genesis timestamp; must be identical across processes (the default
-  /// SimClock epoch keeps sim and socket deployments genesis-compatible).
-  Micros genesis_timestamp = SimClock::kDefaultEpoch;
-  metrics::MetricsRegistry* metrics = nullptr;
+/// How a deployment's chain nodes seal; all its nodes must agree.
+enum class Sealing {
+  /// PoA rotating by block height: only the rightful authority's seal
+  /// validates at each height, so processes with unsynchronized seal ticks
+  /// cannot fork the chain.
+  kPoaHeight,
+  /// PoA rotating by time slot (one block interval): which node seals is a
+  /// function of time alone, so block timing is lane-count invariant.
+  kPoaSlot,
+  /// Proof of work (8 leading zero bits) with node 0 the only miner, so
+  /// production stays deterministic: the public-chain setting the paper
+  /// argues against.
+  kPow,
 };
 
-/// Hosts one PoA ChainNode over any execution plane (Simulator for tests,
-/// EventLoop + SocketTransport for deployment). This is the chain half of
-/// `chain_node_daemon`; role-playing peers layer on top in core.
+/// Options for hosting one ChainNode of a deployment. All nodes of a
+/// deployment agree on everything but `node_index`. Identities are
+/// deterministic (authority-i key seeds), so processes bootstrap
+/// independently: the socket transport's route map is the only shared
+/// configuration.
+struct NodeDaemonOptions {
+  /// This node's index in the authority set (node id "chain-node-<i>").
+  size_t node_index = 0;
+  size_t authority_count = 4;
+  /// The default SimClock epoch keeps sim and socket deployments
+  /// genesis-compatible.
+  Micros genesis_timestamp = SimClock::kDefaultEpoch;
+  Sealing sealing = Sealing::kPoaHeight;
+  /// Block interval and size, lanes, pool and metrics of the hosted node;
+  /// `id` and `sealing_enabled` are derived from the fields above.
+  NodeConfig node;
+};
+
+/// Hosts one ChainNode over any execution plane (Simulator for tests,
+/// EventLoop + SocketTransport for deployment): the one place a deployment's
+/// chain node is built — authority key, genesis, sealer and the
+/// metadata-contract host. Role-playing peers layer on top in core.
 class NodeDaemon {
  public:
-  NodeDaemon(const NodeDaemonOptions& options, net::Scheduler* scheduler,
+  NodeDaemon(NodeDaemonOptions options, net::Scheduler* scheduler,
              net::Network* network);
 
   NodeDaemon(const NodeDaemon&) = delete;
   NodeDaemon& operator=(const NodeDaemon&) = delete;
 
-  /// Starts sealing/gossip (ChainNode::Start).
-  void Start();
-
   ChainNode& node() { return *node_; }
-  const ChainNode& node() const { return *node_; }
 
   static std::string NodeIdFor(size_t index);
-
-  /// The deterministic authority address set every process agrees on.
-  static std::vector<crypto::Address> Authorities(size_t count);
 
  private:
   std::unique_ptr<ChainNode> node_;

@@ -219,7 +219,6 @@ TEST_F(BootstrapTest, OfferValidation) {
 TEST(PowScenarioTest, UpdateRoundCompletesOnProofOfWorkChain) {
   ScenarioOptions options;
   options.consensus = ConsensusMode::kPow;
-  options.pow_difficulty_bits = 8;
   Result<std::unique_ptr<ClinicScenario>> scenario =
       ClinicScenario::Create(options);
   ASSERT_TRUE(scenario.ok()) << scenario.status();

@@ -93,7 +93,6 @@ TEST(DeterminismTest, ThreadedPoolsProduceByteIdenticalWorlds) {
     options.seed = 977;
     options.record_count = 24;
     options.consensus = ConsensusMode::kPow;
-    options.pow_difficulty_bits = 8;
     options.worker_threads = worker_threads;
     auto scenario = ClinicScenario::Create(options);
     EXPECT_TRUE(scenario.ok()) << scenario.status();

@@ -3,7 +3,10 @@
 // once over a real EventLoop with four SocketTransports on loopback TCP,
 // and every role's transport-invariant report ("compare": contract entries,
 // audit-trail projection, shared-view content digests) must be
-// byte-identical between the two worlds. Plus the hostile-stream contract:
+// byte-identical between the two worlds. A third world, ClinicScenario
+// driven by the same two updates, must land on the same contract entries
+// and shared views: both clinic entry points build one Fig. 1 deployment.
+// Plus the hostile-stream contract:
 // bytes that fail CRC/framing condemn the connection, counted in
 // net.frame_corrupt, without disturbing attached endpoints.
 
@@ -22,6 +25,7 @@
 
 #include "common/json.h"
 #include "core/daemon.h"
+#include "core/scenario.h"
 #include "net/event_loop.h"
 #include "net/frame.h"
 #include "net/network.h"
@@ -164,6 +168,55 @@ TEST(SocketEquivalenceTest, SimulatedAndSocketCascadesAgreeByteForByte) {
         << role << "'s protocol outcome differs between simulator and TCP";
     // Non-vacuous: the cascade actually ran (both tables at version 2).
     EXPECT_NE(block.find("\"version\":2"), std::string::npos) << role;
+  }
+}
+
+// The single Fig. 1 layout: the in-process ClinicScenario, driven by the
+// two Fig. 5 updates the daemons script (researcher first, then doctor),
+// must reach the same contract entries and host the same view contents as
+// the four simulated daemons.
+TEST(SocketEquivalenceTest, ClinicScenarioMatchesTheSimulatedDaemons) {
+  constexpr const char* kPD = core::ClinicScenario::kPatientDoctorTable;
+  constexpr const char* kDR = core::ClinicScenario::kDoctorResearcherTable;
+  CompareBlocks simulated = RunSimulated();
+  ASSERT_EQ(simulated.size(), kRoles.size());
+
+  auto created = core::ClinicScenario::Create(core::ScenarioOptions());
+  ASSERT_TRUE(created.ok()) << created.status();
+  core::ClinicScenario& clinic = **created;
+  ASSERT_TRUE(core::Fig5ResearcherUpdate(clinic.researcher()).ok());
+  ASSERT_TRUE(clinic.SettleAll().ok());
+  ASSERT_TRUE(core::Fig5DoctorUpdate(clinic.doctor()).ok());
+  ASSERT_TRUE(clinic.SettleAll().ok());
+
+  const std::map<std::string, std::pair<core::Peer*, size_t>> hosts = {
+      {"doctor", {&clinic.doctor(), 2}},
+      {"patient", {&clinic.patient(), 1}},
+      {"researcher", {&clinic.researcher(), 1}},
+      {"observer", {nullptr, 0}}};
+  for (const auto& [role, block] : simulated) {
+    Result<Json> compare = Json::Parse(block);
+    ASSERT_TRUE(compare.ok()) << compare.status();
+    for (const char* table_id : {kPD, kDR}) {
+      Result<Json> entry = clinic.Entry(table_id);
+      ASSERT_TRUE(entry.ok()) << entry.status();
+      const Json& want = compare->At("entries").At(table_id);
+      EXPECT_EQ(entry->At("version").Dump(), want.At("version").Dump())
+          << role << " " << table_id;
+      EXPECT_EQ(entry->At("content_digest").Dump(),
+                want.At("content_digest").Dump())
+          << role << " " << table_id;
+    }
+    const auto& [peer, view_count] = hosts.at(role);
+    const Json::Object& views = compare->At("view_digests").AsObject();
+    ASSERT_EQ(views.size(), view_count) << role;
+    for (const auto& [table_id, digest] : views) {
+      Result<relational::Table> view = peer->ReadSharedTable(table_id);
+      ASSERT_TRUE(view.ok()) << role << " " << table_id << ": "
+                             << view.status();
+      EXPECT_EQ(view->ContentDigest(), digest.AsString())
+          << role << "'s " << table_id << " differs from the daemon's";
+    }
   }
 }
 

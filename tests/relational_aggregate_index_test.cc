@@ -3,8 +3,6 @@
 #include "medical/generator.h"
 #include "medical/records.h"
 #include "relational/aggregate.h"
-#include "relational/index.h"
-#include "relational/query.h"
 
 namespace medsync::relational {
 namespace {
@@ -135,146 +133,6 @@ TEST(AggregateTest, EmptyTable) {
   Row row = out->RowsInKeyOrder()[0];
   EXPECT_EQ(row[1].AsInt(), 0);
   EXPECT_TRUE(row[2].is_null());
-}
-
-TEST(SecondaryIndexTest, LookupMatchesScan) {
-  Table t = Records(300, 9);
-  Result<SecondaryIndex> index = SecondaryIndex::Build(t, kAddress);
-  ASSERT_TRUE(index.ok()) << index.status();
-  EXPECT_GT(index->distinct_values(), 3u);
-
-  for (const char* city : {"Osaka", "Kyoto", "Sapporo", "Nowhere"}) {
-    Result<Table> scan = Select(
-        t, Predicate::Compare(kAddress, CompareOp::kEq, Value::String(city)));
-    ASSERT_TRUE(scan.ok());
-    Result<Table> probed = IndexedSelectEquals(t, *index, Value::String(city));
-    ASSERT_TRUE(probed.ok()) << probed.status();
-    EXPECT_EQ(*probed, *scan) << city;
-  }
-}
-
-TEST(SecondaryIndexTest, RangeLookup) {
-  Table t = Records(100);
-  Result<SecondaryIndex> index = SecondaryIndex::Build(t, kPatientId);
-  ASSERT_TRUE(index.ok());
-  std::vector<Key> keys =
-      index->LookupRange(Value::Int(1010), Value::Int(1019));
-  EXPECT_EQ(keys.size(), 10u);
-  for (const Key& key : keys) {
-    EXPECT_GE(key[0].AsInt(), 1010);
-    EXPECT_LE(key[0].AsInt(), 1019);
-  }
-  EXPECT_TRUE(index->LookupRange(Value::Int(5000), Value::Int(6000)).empty());
-}
-
-TEST(SecondaryIndexTest, NullValuesAreIndexed) {
-  Table t = Records(20);
-  Key first = t.NthKey(0);
-  Key second = t.NthKey(1);
-  ASSERT_TRUE(t.UpdateAttribute(first, kAddress, Value::Null()).ok());
-  ASSERT_TRUE(t.UpdateAttribute(second, kAddress, Value::Null()).ok());
-  Result<SecondaryIndex> index = SecondaryIndex::Build(t, kAddress);
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index->LookupNull().size(), 2u);
-}
-
-TEST(SecondaryIndexTest, RangeScansNeverMatchNull) {
-  // NULL entries are reachable only via Lookup/LookupNull: a NULL cell is
-  // not "between" any two values, and a NULL bound makes the range itself
-  // undefined (empty result, not "everything").
-  Table t = Records(30);
-  Key first = t.NthKey(0);
-  ASSERT_TRUE(t.UpdateAttribute(first, kAddress, Value::Null()).ok());
-  Result<SecondaryIndex> index = SecondaryIndex::Build(t, kAddress);
-  ASSERT_TRUE(index.ok());
-  ASSERT_EQ(index->LookupNull().size(), 1u);
-
-  std::vector<Key> all =
-      index->LookupRange(Value::String(""), Value::String("zzzz"));
-  EXPECT_EQ(all.size(), 29u);  // every row except the NULL one
-  EXPECT_TRUE(index->LookupRange(Value::Null(), Value::String("z")).empty());
-  EXPECT_TRUE(index->LookupRange(Value::String(""), Value::Null()).empty());
-  EXPECT_TRUE(index->LookupRange(Value::Null(), Value::Null()).empty());
-}
-
-TEST(SecondaryIndexTest, LookupMissReturnsEmptyWithoutAllocation) {
-  Table t = Records(10);
-  Result<SecondaryIndex> index = SecondaryIndex::Build(t, kAddress);
-  ASSERT_TRUE(index.ok());
-  const std::vector<Key>& a = index->Lookup(Value::String("Nowhere"));
-  const std::vector<Key>& b = index->Lookup(Value::String("Elsewhere"));
-  EXPECT_TRUE(a.empty());
-  // Misses share one static empty vector — the const-ref API never copies.
-  EXPECT_EQ(&a, &b);
-}
-
-TEST(SecondaryIndexTest, ApplyDeltaMatchesRebuild) {
-  Table before = Records(120, 11);
-  Result<SecondaryIndex> index = SecondaryIndex::Build(before, kAddress);
-  ASSERT_TRUE(index.ok());
-
-  // A mixed delta: update an indexed value, update a row WITHOUT touching
-  // the indexed attribute, delete a row, insert rows (one NULL-valued,
-  // one key reassignment).
-  TableDelta delta;
-  std::vector<Row> rows = before.RowsInKeyOrder();
-  Row moved = rows[0];
-  moved[3] = Value::String("Relocated");
-  delta.updates.push_back(moved);
-  Row same_city = rows[1];
-  same_city[4] = Value::String("changed dosage");
-  delta.updates.push_back(same_city);
-  delta.deletes.push_back(KeyOf(before.schema(), rows[2]));
-  delta.deletes.push_back(KeyOf(before.schema(), rows[3]));
-  Row reassigned = rows[3];
-  reassigned[3] = Value::String("Reassigned");
-  delta.inserts.push_back(reassigned);
-  Row fresh = rows[4];
-  fresh[0] = Value::Int(9001);
-  fresh[3] = Value::Null();
-  delta.inserts.push_back(fresh);
-
-  Table after = before;
-  ASSERT_TRUE(ApplyDelta(delta, &after).ok());
-  ASSERT_TRUE(index->ApplyDelta(before, delta).ok());
-
-  Result<SecondaryIndex> rebuilt = SecondaryIndex::Build(after, kAddress);
-  ASSERT_TRUE(rebuilt.ok());
-  EXPECT_EQ(index->distinct_values(), rebuilt->distinct_values());
-  for (const auto& [key, row] : after.scan()) {
-    const Value& v = row[3];
-    EXPECT_EQ(index->Lookup(v), rebuilt->Lookup(v));
-  }
-  EXPECT_EQ(index->LookupNull(), rebuilt->LookupNull());
-  EXPECT_EQ(index->Lookup(Value::String("Relocated")).size(), 1u);
-}
-
-TEST(SecondaryIndexTest, ApplyDeltaFailsClosedOnDesync) {
-  // A delta touching a row the covered snapshot does not contain means the
-  // index is out of sync; the call must fail WITHOUT mutating the index.
-  Table before = Records(10);
-  Result<SecondaryIndex> index = SecondaryIndex::Build(before, kAddress);
-  ASSERT_TRUE(index.ok());
-  size_t distinct = index->distinct_values();
-
-  TableDelta bad;
-  bad.deletes.push_back({Value::Int(424242)});
-  Row phantom = before.RowsInKeyOrder()[0];
-  phantom[3] = Value::String("Phantom");
-  bad.updates.push_back(phantom);
-  bad.updates[0][0] = Value::Int(424242);
-  EXPECT_FALSE(index->ApplyDelta(before, bad).ok());
-  EXPECT_EQ(index->distinct_values(), distinct);
-  EXPECT_TRUE(index->Lookup(Value::String("Phantom")).empty());
-}
-
-TEST(SecondaryIndexTest, Validation) {
-  Table t = Records(5);
-  EXPECT_TRUE(SecondaryIndex::Build(t, "ghost").status().IsNotFound());
-  Result<SecondaryIndex> index = SecondaryIndex::Build(t, kAddress);
-  ASSERT_TRUE(index.ok());
-  Table other(*Schema::Create({{"x", DataType::kInt, false}}, {"x"}));
-  EXPECT_FALSE(IndexedSelectEquals(other, *index, Value::Int(1)).ok());
 }
 
 }  // namespace

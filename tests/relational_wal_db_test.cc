@@ -198,38 +198,33 @@ TEST(WalTest, ResetTruncatesButPreservesLsnContinuity) {
   EXPECT_EQ(wal->next_lsn(), 3u);
 }
 
-TEST(WalTest, LegacyRecordsWithoutLsnStillRecover) {
+TEST(WalTest, RecordWithoutLsnIsCorruption) {
+  // Every record this log ever wrote carries its LSN. A complete,
+  // checksummed line without one (<crc> <len> <json>) is not a torn tail,
+  // so recovery must refuse it rather than guess a number for it.
   TempDir dir;
   std::string path = dir.file("wal.log");
-  // Hand-write two pre-LSN-format records: <crc> <len> <json>.
-  std::string a = Op("first").Dump();
-  std::string b = Op("second").Dump();
+  {
+    Result<Wal> wal = Wal::Open(path, nullptr);
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE(wal->Append(Op("first")).ok());
+  }
+  std::string body = Op("second").Dump();
   char header[32];
-  std::string content;
-  std::snprintf(header, sizeof(header), "%08x %zu ", Crc32(a), a.size());
-  content += StrCat(header, a, "\n");
-  std::snprintf(header, sizeof(header), "%08x %zu ", Crc32(b), b.size());
-  content += StrCat(header, b, "\n");
-  FILE* f = std::fopen(path.c_str(), "wb");
+  std::snprintf(header, sizeof(header), "%08x %zu ", Crc32(body),
+                body.size());
+  FILE* f = std::fopen(path.c_str(), "ab");
   ASSERT_NE(f, nullptr);
-  std::fwrite(content.data(), 1, content.size(), f);
+  const std::string line = StrCat(header, body, "\n");
+  std::fwrite(line.data(), 1, line.size(), f);
   std::fclose(f);
 
   std::vector<WalRecord> recovered;
   Result<Wal> wal = Wal::Open(path, &recovered);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_EQ(recovered.size(), 2u);
-  EXPECT_EQ(recovered[0].lsn, 1u);  // assigned sequentially
-  EXPECT_EQ(recovered[1].lsn, 2u);
-  EXPECT_EQ(*recovered[1].payload.GetString("tag"), "second");
-  // New appends continue the numbering in the current (stored-LSN) format.
-  Result<uint64_t> lsn = wal->Append(Op("third"));
-  ASSERT_TRUE(lsn.ok());
-  EXPECT_EQ(*lsn, 3u);
-  wal = Wal::Open(path, &recovered);
-  ASSERT_TRUE(wal.ok());
-  ASSERT_EQ(recovered.size(), 3u);
-  EXPECT_EQ(recovered[2].lsn, 3u);
+  ASSERT_FALSE(wal.ok());
+  EXPECT_TRUE(wal.status().IsCorruption()) << wal.status();
+  EXPECT_NE(wal.status().message().find("record 2"), std::string::npos)
+      << wal.status();
 }
 
 TEST(WalTest, SyncIsCallableAndCounted) {
@@ -515,8 +510,25 @@ TEST(DatabaseTest, UnknownSnapshotFormatIsCorruption) {
     ASSERT_TRUE(db->Insert("t", R(1, "x")).ok());
     ASSERT_TRUE(db->Checkpoint().ok());
   }
-  // Rewrite the manifest's format int to a number this build never wrote.
   std::string snap_path = dir.file("snapshot.json");
+  auto write_snapshot = [&](const std::string& text) {
+    FILE* f = std::fopen(snap_path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  };
+  auto expect_corruption = [&](const std::string& label,
+                               const std::string& message_part) {
+    Result<Database> reopened = Database::Open(dir.path());
+    ASSERT_FALSE(reopened.ok()) << label;
+    EXPECT_TRUE(reopened.status().IsCorruption())
+        << label << ": " << reopened.status();
+    EXPECT_NE(reopened.status().message().find(message_part),
+              std::string::npos)
+        << label << ": " << reopened.status();
+  };
+
+  // Rewrite the manifest's format int to a number this build never wrote.
   std::string text;
   {
     FILE* f = std::fopen(snap_path.c_str(), "rb");
@@ -530,46 +542,24 @@ TEST(DatabaseTest, UnknownSnapshotFormatIsCorruption) {
   size_t colon = text.find(':', pos);
   size_t digit = text.find_first_of("0123456789", colon);
   ASSERT_NE(digit, std::string::npos);
-  text = text.substr(0, digit) + "99" + text.substr(digit + 1);
-  {
-    FILE* f = std::fopen(snap_path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
-  Result<Database> reopened = Database::Open(dir.path());
-  ASSERT_FALSE(reopened.ok());
-  EXPECT_TRUE(reopened.status().IsCorruption()) << reopened.status();
-  EXPECT_NE(reopened.status().message().find("format 99"), std::string::npos)
-      << reopened.status();
-}
+  write_snapshot(text.substr(0, digit) + "99" + text.substr(digit + 1));
+  expect_corruption("format 99", "format 99");
 
-TEST(DatabaseTest, LegacyFormat2SnapshotStillOpens) {
-  // A monolithic format-2 snapshot (what earlier builds wrote) must keep
-  // loading; the next Checkpoint migrates the directory to format 3.
-  TempDir dir;
+  // The monolithic row layout (format 2) and a bare tables object with no
+  // format field are layouts no build of this store persists any more.
   Table t(S());
-  ASSERT_TRUE(t.Insert(R(1, "legacy")).ok());
-  ASSERT_TRUE(t.Insert(R(2, "rows")).ok());
+  ASSERT_TRUE(t.Insert(R(1, "old")).ok());
   Json tables = Json::MakeObject();
   tables.Set("t", t.ToJson());
-  Json snapshot = Json::MakeObject();
-  snapshot.Set("format", static_cast<int64_t>(2));
-  snapshot.Set("wal_through", static_cast<int64_t>(0));
-  snapshot.Set("tables", std::move(tables));
-  std::string dump = snapshot.Dump();
-  FILE* f = std::fopen(dir.file("snapshot.json").c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(dump.data(), 1, dump.size(), f);
-  std::fclose(f);
+  Json format2 = Json::MakeObject();
+  format2.Set("format", static_cast<int64_t>(2));
+  format2.Set("wal_through", static_cast<int64_t>(0));
+  format2.Set("tables", tables);
+  write_snapshot(format2.Dump());
+  expect_corruption("format 2", "format 2");
 
-  Result<Database> db = Database::Open(dir.path());
-  ASSERT_TRUE(db.ok()) << db.status();
-  EXPECT_EQ(*db->Snapshot("t"), t);
-  ASSERT_TRUE(db->Checkpoint().ok());
-  Result<Database> again = Database::Open(dir.path());
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(*again->Snapshot("t"), t);
+  write_snapshot(tables.Dump());
+  expect_corruption("no format field", "format (none)");
 }
 
 TEST(DatabaseTest, ChunkedCheckpointRoundTripsSealedHistory) {

@@ -3,6 +3,8 @@
 
 #include "runtime/chain_node.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "contracts/metadata_contract.h"
@@ -308,9 +310,14 @@ TEST_F(NodeClusterTest, PeersIgnoreForeignProtocolMessages) {
   for (int i = 0; i < 3; ++i) {
     IgnoreStatusForTest(network_->Send(
         net::Message{"node-1", "node-0", "block", head.ToJson()}));
+    Json entry = Json::MakeObject();
+    entry.Set("lane", static_cast<int64_t>(0));
+    entry.Set("hash", head.header.Hash().ToHex());
+    entry.Set("height", head.header.height);
+    Json heads = Json::MakeArray();
+    heads.Append(std::move(entry));
     Json stale = Json::MakeObject();
-    stale.Set("hash", head.header.Hash().ToHex());
-    stale.Set("height", head.header.height);
+    stale.Set("heads", std::move(heads));
     IgnoreStatusForTest(network_->Send(
         net::Message{"node-1", "node-0", "head_announce", stale}));
   }
@@ -318,6 +325,49 @@ TEST_F(NodeClusterTest, PeersIgnoreForeignProtocolMessages) {
   EXPECT_TRUE(nodes_[0]->blockchain().VerifyIntegrity().ok());
   EXPECT_EQ(nodes_[0]->blockchain().head().header.Hash(),
             nodes_[1]->blockchain().head().header.Hash());
+}
+
+TEST_F(NodeClusterTest, OnlyLaneHeadsAnnouncesTriggerBlockRequests) {
+  BuildCluster(1);
+  // Records what node-0 sends back to the announcer.
+  struct Recorder : net::Endpoint {
+    void OnMessage(const net::Message& message) override {
+      types.push_back(message.type);
+    }
+    std::vector<std::string> types;
+  } tester;
+  network_->Attach("tester", &tester);
+  const std::string unknown(64, 'a');  // a block node-0 has never seen
+  auto announce = [&](Json payload) {
+    tester.types.clear();
+    IgnoreStatusForTest(network_->Send(
+        net::Message{"tester", "node-0", "head_announce", std::move(payload)}));
+    simulator_.RunFor(kBlockInterval / 2);
+  };
+
+  // The flat single-lane form {hash, height} is not a head announce.
+  Json flat = Json::MakeObject();
+  flat.Set("hash", unknown);
+  flat.Set("height", 99);
+  announce(flat);
+  EXPECT_EQ(std::count(tester.types.begin(), tester.types.end(),
+                       "block_request"),
+            0);
+
+  // The same head in the lane form is chased.
+  Json entry = Json::MakeObject();
+  entry.Set("lane", static_cast<int64_t>(0));
+  entry.Set("hash", unknown);
+  entry.Set("height", 99);
+  Json heads = Json::MakeArray();
+  heads.Append(std::move(entry));
+  Json lane_form = Json::MakeObject();
+  lane_form.Set("heads", std::move(heads));
+  announce(lane_form);
+  EXPECT_EQ(std::count(tester.types.begin(), tester.types.end(),
+                       "block_request"),
+            1);
+  network_->Detach("tester");
 }
 
 TEST_F(NodeClusterTest, SealEmptyBlocksOption) {

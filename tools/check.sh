@@ -9,13 +9,9 @@
 #      available, else the built-in frontend — the rules run either way.
 #   5. clang-tidy ratchet against tools/clang_tidy_baseline.txt (skips
 #      with a warning when clang-tidy is absent; CI runs it --require'd)
-#   6. tier-1 ctest
-#   7. sharded-lane suite (`ctest -L lanes`, quick legs; the heavy
-#      lane-determinism soak leg carries both labels and rides in --full)
-#   8. columnar storage suite (`ctest -L storage`: chunk format + LZ codec,
-#      chunked-vs-row equivalence properties, million-row
-#      seal/scan/checkpoint/recover — DESIGN.md section 15)
-#   9. loopback deployment smoke: build chain_node_daemon and drive the
+#   6. tier-1 ctest: every test once, the `lanes` and `storage` labels
+#      included (run one label alone with `ctest -L lanes` / `-L storage`)
+#   7. loopback deployment smoke: build chain_node_daemon and drive the
 #      four-process Fig. 5 cascade over real TCP to convergence, checking
 #      that every process reports the same protocol outcome (DESIGN.md
 #      section 16)
@@ -46,27 +42,27 @@ fi
 BUILD_DIR="${1:-build-check}"
 
 if [[ "$LINT_ONLY" == 0 ]]; then
-  echo "== [1/9] configure ($BUILD_DIR) =="
+  echo "== [1/7] configure ($BUILD_DIR) =="
   cmake -B "$BUILD_DIR" -S . \
     -DMEDSYNC_THREAD_SAFETY_ANALYSIS=ON \
     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
-  echo "== [2/9] build =="
+  echo "== [2/7] build =="
   cmake --build "$BUILD_DIR" -j"$(nproc)"
 fi
 
-echo "== [3/9] medsync-lint =="
+echo "== [3/7] medsync-lint =="
 python3 tools/medsync_lint.py
 python3 tools/medsync_lint_test.py
 
-echo "== [4/9] medsync-sca (MS101-MS104 whole-program analysis) =="
+echo "== [4/7] medsync-sca (MS101-MS104 whole-program analysis) =="
 python3 tools/medsync_sca.py --build-dir "$BUILD_DIR"
 python3 tools/medsync_sca_test.py
 
-echo "== [5/9] clang-tidy ratchet =="
+echo "== [5/7] clang-tidy ratchet =="
 python3 tools/clang_tidy_ratchet.py --build-dir "$BUILD_DIR"
 
 if [[ "$LINT_ONLY" == 0 ]]; then
-  echo "== [6/9] tier-1 ctest =="
+  echo "== [6/7] tier-1 ctest =="
   # -LE lint: the lint stages just ran above; also keeps the registered
   # check_gate test from re-entering this script. The generated soak suite
   # (label `soak`) is excluded from the default tier and included by
@@ -77,15 +73,7 @@ if [[ "$LINT_ONLY" == 0 ]]; then
   fi
   ctest --test-dir "$BUILD_DIR" --output-on-failure -LE "$EXCLUDE" \
     -j"$(nproc)"
-  echo "== [7/9] sharded-lane suite (ctest -L lanes) =="
-  # Quick legs only by default; --full already covered the soak-labeled
-  # lane-determinism leg in stage 6, so always exclude `soak` here.
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -L lanes -LE soak \
-    -j"$(nproc)"
-  echo "== [8/9] columnar storage suite (ctest -L storage) =="
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -L storage -LE soak \
-    -j"$(nproc)"
-  echo "== [9/9] loopback deployment smoke (4 processes over TCP) =="
+  echo "== [7/7] loopback deployment smoke (4 processes over TCP) =="
   cmake --build "$BUILD_DIR" --target chain_node_daemon -j"$(nproc)"
   tools/run_loopback_cascade.sh "$BUILD_DIR"
 fi
